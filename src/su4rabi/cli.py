@@ -117,8 +117,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.method not in ("spectral", "rk4"):
             raise ConfigurationError(f"unknown method {self.method!r}")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+            raise ConfigurationError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ConfigurationError("steps must be at least 1")
+        if not math.isfinite(self.t_max):
+            raise ConfigurationError(f"t_max must be finite, got {self.t_max}")
         if self.t_max < 0:
             raise ConfigurationError("t_max must be non-negative")
         if self.t_max == 0 and self.steps > 1:
@@ -144,6 +148,9 @@ class RunConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":
+        """Parse a decoded JSON config; a malformed value is a ConfigurationError."""
+        if not isinstance(data, dict):
+            raise ConfigurationError("config must be a JSON object")
         known = {"model", "omega", "kappas", "fields", "resonant", "init", "t_max", "steps", "method"}
         unknown = set(data) - known
         if unknown:
@@ -154,31 +161,37 @@ class RunConfig:
             model = ModelId(data["model"])
         except ValueError as exc:
             raise ConfigurationError(f"unknown model {data['model']!r}") from exc
-        omega = tuple(float(x) for x in data.get("omega", DEFAULT_OMEGA))
-        if len(omega) != 3:
-            raise ConfigurationError("omega must hold exactly three values")
-        kappas = {parse_transition_key(k): float(v) for k, v in data.get("kappas", {}).items()}
-        if data.get("resonant") and "fields" in data:
-            raise ConfigurationError("config sets both 'resonant' and 'fields'")
-        fields = None
-        if "fields" in data:
-            fields = {parse_transition_key(k): float(v) for k, v in data["fields"].items()}
-        init_raw = data.get("init", 1)
-        init: int | tuple[tuple[float, float], ...]
-        if isinstance(init_raw, int):
-            init = init_raw
-        else:
-            if len(init_raw) != 4:
-                raise ConfigurationError("amplitude init must list four [re, im] pairs")
-            init = tuple((float(p[0]), float(p[1])) for p in init_raw)
+        try:
+            omega = tuple(float(x) for x in data.get("omega", DEFAULT_OMEGA))
+            if len(omega) != 3:
+                raise ConfigurationError("omega must hold exactly three values")
+            kappas = {parse_transition_key(k): float(v) for k, v in data.get("kappas", {}).items()}
+            if data.get("resonant") and "fields" in data:
+                raise ConfigurationError("config sets both 'resonant' and 'fields'")
+            fields = None
+            if "fields" in data:
+                fields = {parse_transition_key(k): float(v) for k, v in data["fields"].items()}
+            init_raw = data.get("init", 1)
+            init: int | tuple[tuple[float, float], ...]
+            if isinstance(init_raw, int) and not isinstance(init_raw, bool):
+                init = init_raw
+            else:
+                if len(init_raw) != 4:
+                    raise ConfigurationError("amplitude init must list four [re, im] pairs")
+                init = tuple((float(p[0]), float(p[1])) for p in init_raw)
+            t_max = float(data.get("t_max", DEFAULT_T_MAX))
+        except ConfigurationError:
+            raise
+        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed config value: {exc}") from exc
         return cls(
             model=model,
             omega=omega,  # type: ignore[arg-type]
             kappas=kappas,
             fields=fields,
             init=init,
-            t_max=float(data.get("t_max", DEFAULT_T_MAX)),
-            steps=int(data.get("steps", DEFAULT_POINTS)),
+            t_max=t_max,
+            steps=data.get("steps", DEFAULT_POINTS),
             method=str(data.get("method", "spectral")),
         )
 
@@ -190,7 +203,7 @@ def initial_state(init: int | tuple[tuple[float, float], ...]) -> StateVector:
         return StateVector.basis(init)
     amps = np.array([complex(re, im) for re, im in init])
     norm = float(np.sqrt(np.sum(np.abs(amps) ** 2)))
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:  # NaN amplitudes fail too
         raise ConfigurationError(
             f"initial amplitudes have norm {norm:.12f}; must be 1 to 1e-9"
         )
@@ -243,6 +256,13 @@ def trace_metadata(cfg: RunConfig) -> list[tuple[str, str]]:
     return meta
 
 
+# One CSV row: t, p1..p4. printf's %e and format()'s .12e share one
+# float-to-string routine, so the bytes match a per-value f-string.
+_CSV_ROW = ",".join(["%.12e"] * 5) + "\n"
+# Rows formatted by one printf call; bounds memory on long grids.
+_CSV_BLOCK = 4096
+
+
 def write_trace_csv(
     path: str, trace: PopulationTrace, metadata: list[tuple[str, str]]
 ) -> None:
@@ -250,8 +270,12 @@ def write_trace_csv(
         for key, value in metadata:
             fh.write(f"# {key} = {value}\n")
         fh.write("t,p1,p2,p3,p4\n")
-        for t, row in zip(trace.times, trace.populations):
-            fh.write(",".join(f"{x:.12e}" for x in (t, *row)) + "\n")
+        for start in range(0, trace.times.size, _CSV_BLOCK):
+            stop = start + _CSV_BLOCK
+            block = np.column_stack(
+                (trace.times[start:stop], trace.populations[start:stop])
+            )
+            fh.write(_CSV_ROW * len(block) % tuple(block.ravel().tolist()))
 
 
 # --- subcommands -----------------------------------------------------------
@@ -297,7 +321,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.config:
         with open(args.config) as fh:
-            cfg = RunConfig.from_json_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise ConfigurationError(f"config {args.config} is not valid JSON: {exc}") from exc
+        cfg = RunConfig.from_json_dict(data)
     else:
         if args.model is None:
             raise ConfigurationError("either --config or --model is required")

@@ -81,6 +81,8 @@ def _rk4_step_matrices(
 
 # Steps whose matrices are built at once; bounds memory on long grids.
 _RK4_BLOCK = 4096
+# Largest final norm drift a march may show; beyond it the step is too coarse.
+_RK4_NORM_TOL = 1e-6
 
 
 def rk4_solve(
@@ -90,8 +92,9 @@ def rk4_solve(
 
     Records populations at every grid point. The step matrices use only
     samples of the lab-frame H(t), never the rotating frame. Raises
-    NumericsError when the state leaves the finite range (the step size was
-    far too coarse for the couplings involved).
+    NumericsError when the state leaves the finite range or its final norm
+    drifts from 1 by more than 1e-6 (the step size was far too coarse for
+    the couplings involved).
     """
     drive.validate_for(model)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -113,8 +116,14 @@ def rk4_solve(
         raise NumericsError(
             "RK4 state became non-finite; reduce the step size or the couplings"
         )
+    drift = abs(float(pops_rows[-1].sum()) - 1.0)
+    if drift > _RK4_NORM_TOL:
+        raise NumericsError(
+            f"RK4 state norm drifted from 1 by {drift:.2e} (tol {_RK4_NORM_TOL:.0e})"
+            f" at step size h = {h:.6g}; reduce the step size or the couplings"
+        )
     trace = PopulationTrace(times=t_grid, populations=pops_rows[:, ::-1].copy())
-    final = StateVector(to_level_order(states[-1]), norm_tol=1e-6)
+    final = StateVector(to_level_order(states[-1]), norm_tol=_RK4_NORM_TOL)
     return trace, final
 
 

@@ -17,6 +17,7 @@ the matrix element is kappa_ab * exp(-i w_ab t).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,7 +132,7 @@ class DriveParams:
 
     ``field_freq`` and ``coupling`` must be keyed by exactly the transitions
     a model allows; couplings are real and non-negative (zero switches a
-    transition off without changing the key set).
+    transition off without changing the key set). Every value must be finite.
     """
 
     omega: tuple[float, float, float]
@@ -139,6 +140,13 @@ class DriveParams:
     coupling: dict[Transition, float]
 
     def __post_init__(self) -> None:
+        for i, w in enumerate(self.omega, start=1):
+            if not math.isfinite(w):
+                raise ConfigurationError(f"splitting w{i} is not finite: {w}")
+        for name, values in (("field_freq", self.field_freq), ("coupling", self.coupling)):
+            for pair, v in values.items():
+                if not math.isfinite(v):
+                    raise ConfigurationError(f"{name} for {pair} is not finite: {v}")
         for pair, k in self.coupling.items():
             if k < 0:
                 raise ConfigurationError(f"coupling for {pair} is negative: {k}")
@@ -220,13 +228,15 @@ class StateVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         deviation = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
-        if deviation > self.norm_tol:
+        if not deviation <= self.norm_tol:  # NaN amplitudes fail too
             raise ConfigurationError(
                 f"state norm deviates from 1 by {deviation:.2e} (tol {self.norm_tol:.0e})"
             )
 
     @classmethod
     def basis(cls, level: int) -> "StateVector":
+        if level not in LEVELS:
+            raise ConfigurationError(f"level {level} outside 1..4")
         amps = np.zeros(4, dtype=complex)
         amps[level - 1] = 1.0
         return cls(amps)

@@ -12,9 +12,18 @@ import sys
 import numpy as np
 import pytest
 
-from su4rabi.cli import RunConfig, main, parse_transition_key, transition_key
+from su4rabi.cli import (
+    _CSV_BLOCK,
+    RunConfig,
+    main,
+    parse_transition_key,
+    run_trace,
+    trace_metadata,
+    transition_key,
+    write_trace_csv,
+)
 from su4rabi.errors import ConfigurationError
-from su4rabi.models import ModelId
+from su4rabi.models import ModelId, PopulationTrace
 
 
 def read_csv(path):
@@ -31,6 +40,58 @@ def read_csv(path):
         else:
             rows.append([float(x) for x in line.split(",")])
     return meta, header, np.array(rows)
+
+
+def reference_csv_bytes(trace, metadata):
+    """The trace file as a per-value f-string loop writes it."""
+    lines = [f"# {key} = {value}\n" for key, value in metadata]
+    lines.append("t,p1,p2,p3,p4\n")
+    for t, row in zip(trace.times, trace.populations):
+        lines.append(",".join(f"{x:.12e}" for x in (t, *row)) + "\n")
+    return "".join(lines).encode()
+
+
+class TestWriteTraceCsv:
+    """The block writer must emit exactly the bytes of the per-value loop."""
+
+    def assert_matches_reference(self, tmp_path, trace, metadata):
+        path = tmp_path / "w.csv"
+        write_trace_csv(str(path), trace, metadata)
+        assert path.read_bytes() == reference_csv_bytes(trace, metadata)
+
+    @pytest.mark.parametrize("rows", [1, _CSV_BLOCK, _CSV_BLOCK + 1])
+    def test_block_boundaries(self, tmp_path, rows):
+        cfg = RunConfig(
+            model=ModelId.II, kappas={(4, 3): 0.24, (3, 1): 0.4, (2, 1): 0.24},
+            init=2, t_max=0.0 if rows == 1 else 20.0, steps=rows,
+        )
+        self.assert_matches_reference(tmp_path, run_trace(cfg), trace_metadata(cfg))
+
+    @pytest.mark.parametrize("method", ["spectral", "rk4"])
+    def test_both_methods(self, tmp_path, method):
+        cfg = RunConfig(
+            model=ModelId.V, kappas={(4, 3): 0.24, (4, 2): 0.4, (2, 1): 0.24},
+            init=3, t_max=10.0, steps=1001, method=method,
+        )
+        self.assert_matches_reference(tmp_path, run_trace(cfg), trace_metadata(cfg))
+
+    def test_amplitude_initial_state(self, tmp_path):
+        cfg = RunConfig(
+            model=ModelId.I, kappas={(4, 1): 0.7, (3, 2): 0.24, (2, 1): 0.24},
+            init=((0.6, 0.0), (0.0, 0.48), (0.0, 0.0), (0.64, 0.0)),
+            t_max=30.0, steps=3001,
+        )
+        self.assert_matches_reference(tmp_path, run_trace(cfg), trace_metadata(cfg))
+
+    def test_signed_zero_subnormals_and_rounding_carry(self, tmp_path):
+        # 0.99999999999995 rounds up to the next decade: 1.000000000000e+00
+        pops = np.array([
+            [-0.0, 5e-324, 1e-320, 0.99999999999995],
+            [1e300, 0.0, 2.5e-13, 9.9999999999995e-01],
+            [0.25, 0.25, 0.25, 0.25],
+        ])
+        trace = PopulationTrace(times=np.array([0.0, 1e-300, 7.5]), populations=pops)
+        self.assert_matches_reference(tmp_path, trace, [("model", "I")])
 
 
 class TestTransitionKeys:
@@ -79,6 +140,27 @@ class TestRunConfig:
     def test_rejects_zero_span_multi_point_grid(self):
         with pytest.raises(ConfigurationError):
             RunConfig(model=ModelId.I, t_max=0.0, steps=100)
+
+    @pytest.mark.parametrize("t_max", [float("inf"), float("nan")])
+    def test_rejects_non_finite_t_max(self, t_max):
+        with pytest.raises(ConfigurationError, match="t_max must be finite"):
+            RunConfig(model=ModelId.I, t_max=t_max)
+
+    @pytest.mark.parametrize("steps", [2.7, 3.0, "5", True])
+    def test_rejects_non_integer_steps(self, steps):
+        with pytest.raises(ConfigurationError, match="steps must be an integer"):
+            RunConfig.from_json_dict({"model": "I", "steps": steps})
+
+    @pytest.mark.parametrize("data", [
+        {"model": "I", "kappas": [1, 2]},
+        {"model": "I", "init": [["a", 0], [0, 0], [0, 0], [0, 0]]},
+        {"model": "I", "init": [[1], [0], [0], [0]]},
+        {"model": "I", "omega": 5},
+        {"model": "I", "t_max": None},
+    ])
+    def test_rejects_malformed_values(self, data):
+        with pytest.raises(ConfigurationError):
+            RunConfig.from_json_dict(data)
 
 
 class TestVerify:
@@ -231,6 +313,45 @@ class TestSimulate:
             "--method", "rk4", "--t-max", "10", "--steps", "101",
             "--out", str(tmp_path / "blow.csv"),
         ]) == 3
+
+    def test_rk4_finite_norm_blowup_exits_3(self, tmp_path, capsys):
+        assert main([
+            "simulate", "--model", "I", "--kappa", "41=0.7", "32=0.24", "21=0.24",
+            "--method", "rk4", "--steps", "3", "--out", str(tmp_path / "blow.csv"),
+        ]) == 3
+        assert "step size h = 25" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--kappa", "41=nan", "32=0.24", "21=0.24"], "coupling for (4, 1) is not finite"),
+        (["--kappa", "41=nan", "32=0.24", "21=0.24", "--method", "rk4"],
+         "coupling for (4, 1) is not finite"),
+        (["--kappa", "41=inf"], "coupling for (4, 1) is not finite"),
+        (["--kappa", "41=0.7", "--omega", "nan", "2", "3"], "splitting w1 is not finite"),
+        (["--kappa", "41=0.7", "--field", "41=nan", "32=4.0", "21=2.0", "--allow-nonresonant"],
+         "field_freq for (4, 1) is not finite"),
+        (["--kappa", "41=0.7", "--init", "nan,0,1,0,0,0,0,0"], "have norm nan"),
+        (["--kappa", "41=0.7", "--t-max", "inf"], "t_max must be finite"),
+    ])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, flags, message):
+        argv = ["simulate", "--model", "I", "--t-max", "1", "--steps", "11"] + flags
+        assert main(argv + ["--out", str(tmp_path / "nf.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "nf.csv").exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"model": "I", ',
+        '{"model": "I", "kappas": [1, 2]}',
+        '{"model": "I", "init": [["a", 0], [0, 0], [0, 0], [0, 0]]}',
+        '{"model": "I", "steps": 2.7}',
+        '5',
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "bad.csv"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFigure:

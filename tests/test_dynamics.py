@@ -128,6 +128,11 @@ class TestRk4Solve:
         with pytest.raises(NumericsError):
             rk4_solve(MODEL_I, drive, StateVector.basis(1), uniform_grid(10.0, 101))
 
+    def test_finite_norm_blowup_raises_and_names_step(self):
+        # h = 25 stays finite but multiplies the norm by about 6e24
+        with pytest.raises(NumericsError, match=r"h = 25\b"):
+            rk4_solve(MODEL_I, CHAIN_DRIVE, StateVector.basis(1), uniform_grid(50.0, 3))
+
     def test_rejects_nonuniform_grid(self):
         grid = np.array([0.0, 0.1, 0.25, 0.3])
         with pytest.raises(ConfigurationError):

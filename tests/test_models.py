@@ -110,6 +110,21 @@ class TestDriveParams:
         with pytest.raises(ConfigurationError):
             bad.validate_for(m)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_splitting(self, bad):
+        with pytest.raises(ConfigurationError, match="w2 is not finite"):
+            DriveParams(omega=(1, bad, 3), field_freq={(2, 1): 1.0}, coupling={(2, 1): 0.1})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_field_frequency(self, bad):
+        with pytest.raises(ConfigurationError, match="field_freq .* not finite"):
+            DriveParams(omega=(1, 2, 3), field_freq={(2, 1): bad}, coupling={(2, 1): 0.1})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_coupling(self, bad):
+        with pytest.raises(ConfigurationError, match="coupling .* not finite"):
+            DriveParams(omega=(1, 2, 3), field_freq={(2, 1): 1.0}, coupling={(2, 1): bad})
+
     def test_zero_coupling_allowed(self):
         drive_for(get_model("I"), kappa=0.0).validate_for(get_model("I"))
 
@@ -196,6 +211,15 @@ class TestStateVector:
         sv = StateVector.basis(2)
         assert sv.amplitudes[1] == 1.0
         assert np.abs(sv.populations() - [0, 1, 0, 0]).max() == 0.0
+
+    @pytest.mark.parametrize("level", [0, 5, -1])
+    def test_basis_rejects_level_outside_1_to_4(self, level):
+        with pytest.raises(ConfigurationError, match="outside 1..4"):
+            StateVector.basis(level)
+
+    def test_rejects_nan_amplitudes(self):
+        with pytest.raises(ConfigurationError):
+            StateVector(np.array([np.nan, 1.0, 0.0, 0.0]))
 
     def test_rejects_non_normalized(self):
         with pytest.raises(ConfigurationError):
