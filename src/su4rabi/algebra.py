@@ -34,6 +34,11 @@ import numpy as np
 
 N_GENERATORS = 15
 
+# Structure-constant entries at most this large are exact zeros.
+_ZERO_TOL = 1e-10
+# Largest residual verify_algebra accepts for each identity.
+_VERIFY_TOL = 1e-12
+
 # Ladder family -> generator indices (a, b) with plus = (g_a + i g_b) / 2.
 LADDER_COMBOS: dict[str, tuple[int, int]] = {
     "T": (1, 2),
@@ -78,24 +83,20 @@ class GeneratorSet:
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Sparse antisymmetric f and symmetric d tensors.
+    """Antisymmetric f and symmetric d as read-only (15, 15, 15) float arrays.
 
-    Only nonzero canonical triples are stored: strictly increasing indices
-    for ``f`` (any repeated index gives zero by antisymmetry), non-decreasing
-    for ``d``. Use :meth:`f_at` / :meth:`d_at` for arbitrary index order.
+    ``f[i, j, k]`` is f_{i+1, j+1, k+1}: the arrays are zero-indexed, the
+    generator labels and :meth:`f_at` / :meth:`d_at` are 1-based.
     """
 
-    f: dict[tuple[int, int, int], float]
-    d: dict[tuple[int, int, int], float]
+    f: np.ndarray
+    d: np.ndarray
 
     def f_at(self, i: int, j: int, k: int) -> float:
-        key, sign = _sort_with_parity(i, j, k)
-        if sign == 0:
-            return 0.0
-        return sign * self.f.get(key, 0.0)
+        return _entry(self.f, i, j, k)
 
     def d_at(self, i: int, j: int, k: int) -> float:
-        return self.d.get(tuple(sorted((i, j, k))), 0.0)
+        return _entry(self.d, i, j, k)
 
 
 @dataclass(frozen=True)
@@ -140,18 +141,10 @@ class VerificationReport:
         )
 
 
-def _sort_with_parity(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
-    """Sort a triple, tracking permutation parity; sign 0 on repeats."""
-    idx = [i, j, k]
-    if len(set(idx)) < 3:
-        return (i, j, k), 0
-    sign = 1
-    for a in range(2):
-        for b in range(2 - a):
-            if idx[b] > idx[b + 1]:
-                idx[b], idx[b + 1] = idx[b + 1], idx[b]
-                sign = -sign
-    return (idx[0], idx[1], idx[2]), sign
+def _entry(t: np.ndarray, i: int, j: int, k: int) -> float:
+    if not all(1 <= n <= N_GENERATORS for n in (i, j, k)):
+        raise IndexError(f"generator index in {(i, j, k)} outside 1..{N_GENERATORS}")
+    return float(t[i - 1, j - 1, k - 1])
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -184,37 +177,31 @@ def build_generators() -> GeneratorSet:
     return GeneratorSet(matrices=_frozen(stack))
 
 
-def structure_constants(g: GeneratorSet, zero_tol: float = 1e-10) -> StructureConstants:
+def _commutators(gm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All commutators and anticommutators ``[g_i, g_j]``, ``{g_i, g_j}``."""
+    prod = np.einsum("iab,jbc->ijac", gm, gm)
+    swapped = prod.transpose(1, 0, 2, 3)
+    return prod - swapped, prod + swapped
+
+
+def structure_constants(g: GeneratorSet) -> StructureConstants:
     """Compute f and d from traces of (anti)commutators.
 
     The traces must come out real to 1e-13; a larger imaginary residue means
-    the input is not a hermitian orthonormal basis and is rejected.
+    the input is not a hermitian orthonormal basis and is rejected. Entries
+    of magnitude at most 1e-10 are set to exactly 0.
     """
     gm = g.matrices
-    prod = np.einsum("iab,jbc->ijac", gm, gm)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    acom = prod + prod.transpose(1, 0, 2, 3)
+    comm, acom = _commutators(gm)
     f_full = np.einsum("ijab,kba->ijk", comm, gm) / 4.0j
     d_full = np.einsum("ijab,kba->ijk", acom, gm) / 4.0
     residue = max(np.abs(f_full.imag).max(), np.abs(d_full.imag).max())
     if residue > 1e-13:
         raise ValueError(f"structure-constant traces are not real (residue {residue:.2e})")
-
-    f_entries: dict[tuple[int, int, int], float] = {}
-    d_entries: dict[tuple[int, int, int], float] = {}
-    for i in range(N_GENERATORS):
-        for j in range(i + 1, N_GENERATORS):
-            for k in range(j + 1, N_GENERATORS):
-                val = f_full.real[i, j, k]
-                if abs(val) > zero_tol:
-                    f_entries[(i + 1, j + 1, k + 1)] = float(val)
-    for i in range(N_GENERATORS):
-        for j in range(i, N_GENERATORS):
-            for k in range(j, N_GENERATORS):
-                val = d_full.real[i, j, k]
-                if abs(val) > zero_tol:
-                    d_entries[(i + 1, j + 1, k + 1)] = float(val)
-    return StructureConstants(f=f_entries, d=d_entries)
+    f, d = f_full.real.copy(), d_full.real.copy()
+    f[np.abs(f) <= _ZERO_TOL] = 0.0
+    d[np.abs(d) <= _ZERO_TOL] = 0.0
+    return StructureConstants(f=_frozen(f), d=_frozen(d))
 
 
 def build_shift_operators(g: GeneratorSet) -> ShiftOperators:
@@ -242,12 +229,11 @@ def build_shift_operators(g: GeneratorSet) -> ShiftOperators:
     )
 
 
-def verify_algebra(
-    g: GeneratorSet, s: StructureConstants, tolerance: float = 1e-12
-) -> VerificationReport:
+def verify_algebra(g: GeneratorSet, s: StructureConstants) -> VerificationReport:
     """Check the four defining identities and report residuals.
 
-    Checked in a fixed order so the first failure is deterministic:
+    Checked in a fixed order so the first failure is deterministic, each
+    against the tolerance 1e-12:
 
     1. trace:               Tr g_i = 0
     2. trace-normalization: Tr[g_i g_j] = 2 delta_ij
@@ -262,20 +248,11 @@ def verify_algebra(
     pair_tr = np.einsum("iab,jba->ij", gm, gm)
     norm_res = float(np.abs(pair_tr - 2.0 * np.eye(n)).max())
 
-    f_dense = np.zeros((n, n, n))
-    d_dense = np.zeros((n, n, n))
-    for idx in np.ndindex(n, n, n):
-        i, j, k = (idx[0] + 1, idx[1] + 1, idx[2] + 1)
-        f_dense[idx] = s.f_at(i, j, k)
-        d_dense[idx] = s.d_at(i, j, k)
-
-    prod = np.einsum("iab,jbc->ijac", gm, gm)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    acom = prod + prod.transpose(1, 0, 2, 3)
-    comm_res = float(np.abs(comm - 2.0j * np.einsum("ijk,kab->ijab", f_dense, gm)).max())
+    comm, acom = _commutators(gm)
+    comm_res = float(np.abs(comm - 2.0j * np.einsum("ijk,kab->ijab", s.f, gm)).max())
     eye_term = np.einsum("ij,ab->ijab", np.eye(n), np.eye(4)).astype(complex)
     acom_res = float(
-        np.abs(acom - eye_term - 2.0 * np.einsum("ijk,kab->ijab", d_dense, gm)).max()
+        np.abs(acom - eye_term - 2.0 * np.einsum("ijk,kab->ijab", s.d, gm)).max()
     )
 
     residuals = {
@@ -284,5 +261,5 @@ def verify_algebra(
         "commutation": comm_res,
         "anticommutation": acom_res,
     }
-    failures = tuple(name for name, r in residuals.items() if r > tolerance)
-    return VerificationReport(residuals=residuals, tolerance=tolerance, failures=failures)
+    failures = tuple(name for name, r in residuals.items() if r > _VERIFY_TOL)
+    return VerificationReport(residuals=residuals, tolerance=_VERIFY_TOL, failures=failures)

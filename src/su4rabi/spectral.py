@@ -44,10 +44,13 @@ class EigenSystem:
 def jacobi_eigh(h: np.ndarray) -> EigenSystem:
     """Diagonalize a real symmetric 4x4 matrix by cyclic Jacobi sweeps.
 
-    Sweeps visit the planes in the fixed order of ``PLANES`` until the
-    off-diagonal Frobenius norm falls below 1e-14 relative to the matrix
-    scale; convergence is quadratic and a handful of sweeps suffices. Rows
-    of the returned diagonalizer are sign-fixed (largest-magnitude component
+    The sweeps run on the matrix scaled by an exact power of two, so that its
+    largest entry lies in [1/2, 1), and the eigenvalues are scaled back; the
+    result does not depend on the scale, however small or large. Sweeps
+    visit the planes in the fixed order of ``PLANES`` until the off-diagonal
+    Frobenius norm falls below 1e-14 relative to the matrix scale;
+    convergence is quadratic and a handful of sweeps suffices. Rows of the
+    returned diagonalizer are sign-fixed (largest-magnitude component
     positive) and sorted by eigenvalue, so the output is deterministic.
     """
     h = np.asarray(h, dtype=float)
@@ -57,6 +60,8 @@ def jacobi_eigh(h: np.ndarray) -> EigenSystem:
         raise ValueError("matrix is not symmetric")
 
     a = (h + h.T) / 2.0
+    exponent = math.frexp(float(np.abs(a).max()))[1]
+    a = np.ldexp(a, -exponent)
     v = np.eye(4)
     tol = 1e-14 * max(1.0, float(np.linalg.norm(a)))
     for _ in range(_MAX_SWEEPS):
@@ -82,7 +87,7 @@ def jacobi_eigh(h: np.ndarray) -> EigenSystem:
         raise NumericsError("Jacobi sweeps did not converge")
 
     order = np.argsort(np.diag(a), kind="stable")
-    eigenvalues = np.diag(a)[order].copy()
+    eigenvalues = np.ldexp(np.diag(a)[order], exponent)
     diag = v.T[order].copy()
     for row in diag:
         if row[np.argmax(np.abs(row))] < 0:

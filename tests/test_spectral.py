@@ -69,6 +69,18 @@ class TestJacobi:
             assert np.abs(t @ t.T - np.eye(4)).max() < 1e-12
             assert np.abs(t @ h @ t.T - np.diag(es.eigenvalues)).max() < 1e-12
 
+    @given(symmetric_matrices, st.integers(-600, 600), st.integers(-200, 200))
+    @settings(max_examples=200, deadline=None)
+    def test_eigenvalues_scale_with_the_matrix(self, h, k, p):
+        # the sweeps run on the matrix rescaled by a power of two, so a
+        # power-of-two scale gives the very same bits, and any other scale
+        # moves the eigenvalues by rounding only
+        base = jacobi_eigh(h).eigenvalues
+        assert np.array_equal(jacobi_eigh(h * 2.0**k).eigenvalues, base * 2.0**k)
+        s = 10.0**p
+        scaled = jacobi_eigh(h * s).eigenvalues / s
+        assert np.abs(scaled - base).max() <= 1e-12 * np.abs(base).max()
+
     def test_matches_library_eigensolver(self):
         # independent oracle route for the eigenvalues
         rng = np.random.default_rng(17)
