@@ -388,6 +388,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         trace = run_trace(cfg)
         meta = trace_metadata(cfg)
         if args.id == 10:
+            # the paper figure's label; the run itself is resonant
             meta.append(("omega_field", "0.4 0.4 0.4"))
         path = os.path.join(out_dir, f"fig{args.id}{CASE_SUFFIX[level]}.csv")
         write_trace_csv(path, trace, meta)

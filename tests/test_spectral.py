@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from su4rabi.cli import STANDARD_COUPLINGS
+from su4rabi.errors import NumericsError
 from su4rabi.frame import resonant_drive, rotate
 from su4rabi.models import StateVector, catalog, get_model
 from su4rabi.spectral import (
@@ -26,6 +28,29 @@ angle_sets = arrays(
     np.float64, (6,),
     elements=st.floats(-np.pi, np.pi, allow_nan=False, exclude_min=True),
 )
+
+
+# Spectra with forced repeats and near-repeats: four picks from at most
+# four levels on a 1e-3 grid in [-1, 1], each moved by a gap of 0 (an exact
+# repeat) or down to 1e-10.
+degenerate_spectra = st.tuples(
+    st.lists(st.integers(-1000, 1000).map(lambda k: k / 1000.0), min_size=1, max_size=4),
+    st.lists(st.integers(0, 3), min_size=4, max_size=4),
+    st.lists(st.sampled_from([0.0, 1e-10, -1e-10, 3e-9, 1e-7]), min_size=4, max_size=4),
+).map(lambda t: np.array([t[0][i % len(t[0])] + gap for i, gap in zip(t[1], t[2])]))
+
+rotation_seeds = arrays(np.float64, (4, 4), elements=st.floats(-1, 1, allow_nan=False))
+
+
+def sign_fixed(rows):
+    """The diagonalizer's sign rule: in each row, the first component whose
+    magnitude is within 1e-12 of the row's largest is positive."""
+    rows = rows.copy()
+    for row in rows:
+        lead = row[np.flatnonzero(np.abs(row) >= np.abs(row).max() - 1e-12)[0]]
+        if lead < 0:
+            row *= -1.0
+    return rows
 
 
 def det_corrected(t):
@@ -103,6 +128,72 @@ class TestJacobi:
         es = jacobi_eigh(h + h.T)
         for row in es.diagonalizer:
             assert row[np.argmax(np.abs(row))] > 0
+
+    def test_sign_fix_matches_library_on_resonant_catalog(self):
+        # the resonant frame matrices of the symmetric configurations have
+        # palindromic eigenvectors, two components of equal magnitude; the
+        # sign must not depend on which of them rounding makes larger
+        for model in catalog():
+            coupling = {tr: STANDARD_COUPLINGS[tr] for tr in model.allowed}
+            h = rotate(model, resonant_drive(model, (1.0, 2.0, 3.0), coupling)).h_tilde
+            w, vecs = np.linalg.eigh(h)
+            expected = sign_fixed(vecs.T[np.argsort(w, kind="stable")])
+            assert np.abs(jacobi_eigh(h).diagonalizer - expected).max() <= 1e-13, model.id
+
+    def test_symmetry_check_rejects_tiny_non_symmetric_matrix(self):
+        # an absolute 1e-12 rule would let this through and return a wrong
+        # spectrum: the asymmetry is as large as the matrix itself
+        with pytest.raises(ValueError, match="not symmetric"):
+            jacobi_eigh(np.triu(np.arange(1.0, 17.0).reshape(4, 4)) * 1e-20)
+
+    def test_symmetry_check_accepts_rounding_asymmetry_at_large_scale(self):
+        q, _ = np.linalg.qr(np.random.default_rng(41).standard_normal((4, 4)))
+        lam = np.array([1e5, 2e5, 3e5, 4e5])
+        h = q @ np.diag(lam) @ q.T
+        asymmetry = np.abs(h - h.T).max()
+        assert 1e-12 < asymmetry < 1e-16 * np.abs(h).max()
+        assert np.abs(jacobi_eigh(h).eigenvalues - lam).max() <= 1e-13 * lam.max()
+
+    def test_rejects_non_finite_entries(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            h = np.eye(4)
+            h[2, 2] = bad
+            with pytest.raises(NumericsError, match="non-finite"):
+                jacobi_eigh(h)
+
+    def test_eigenvalue_beyond_float_range_raises(self):
+        # the sweeps run on the scaled matrix; only the back-scaled largest
+        # eigenvalue, 4 x 1e308, leaves the float range
+        with pytest.raises(NumericsError, match="overflow"):
+            jacobi_eigh(np.full((4, 4), 1e308))
+        top = jacobi_eigh(np.full((4, 4), 4e307)).eigenvalues[-1]
+        assert abs(top - 1.6e308) <= 1e-13 * 1.6e308
+
+    def test_diagonal_input_takes_no_sweep(self):
+        es = jacobi_eigh(np.diag([3.0, -1.0, 2.0, 0.5]))
+        assert es.sweeps == 0
+        assert np.array_equal(es.eigenvalues, [-1.0, 0.5, 2.0, 3.0])
+
+    def test_sweep_count_on_random_matrices(self):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            h = rng.standard_normal((4, 4))
+            sweeps = jacobi_eigh(h + h.T).sweeps
+            assert isinstance(sweeps, int)
+            assert 1 <= sweeps <= 6
+
+    @given(rotation_seeds, degenerate_spectra)
+    @settings(max_examples=300, deadline=None)
+    def test_degenerate_and_near_degenerate_spectra(self, m, lam):
+        q, _ = np.linalg.qr(m)
+        h = q @ np.diag(lam) @ q.T
+        h = (h + h.T) / 2.0
+        es = jacobi_eigh(h)
+        t = es.diagonalizer
+        scale = np.abs(lam).max()
+        assert np.abs(t @ t.T - np.eye(4)).max() <= 1e-13
+        assert np.abs(t @ h @ t.T - np.diag(es.eigenvalues)).max() <= 1e-13 * scale
+        assert np.abs(es.eigenvalues - np.linalg.eigvalsh(h)).max() <= 1e-13 * scale
 
     def test_degenerate_spectrum(self):
         h = np.diag([2.0, 2.0, -1.0, -1.0])
@@ -262,3 +353,5 @@ class TestEigenSystemType:
         assert isinstance(es, EigenSystem)
         with pytest.raises(ValueError):
             es.eigenvalues[0] = 9.0
+        with pytest.raises(ValueError):
+            es.diagonalizer[0, 0] = 9.0
