@@ -17,7 +17,13 @@ from .algebra import (
     structure_constants,
     verify_algebra,
 )
-from .dynamics import rk4_solve, schrodinger_rhs, trace_via_spectral
+from .dynamics import (
+    FrameSolution,
+    rk4_solve,
+    schrodinger_rhs,
+    solve_frame,
+    trace_via_spectral,
+)
 from .errors import ConfigurationError, NumericsError
 from .frame import (
     RotatingFrame,
@@ -42,7 +48,6 @@ from .spectral import (
     compose_rotations,
     factor_orthogonal,
     jacobi_eigh,
-    propagate,
 )
 from .symmetry import (
     InversionMap,
@@ -58,6 +63,7 @@ __all__ = [
     "ConfigurationError",
     "DriveParams",
     "EigenSystem",
+    "FrameSolution",
     "GeneratorSet",
     "InversionMap",
     "ModelConfig",
@@ -83,11 +89,11 @@ __all__ = [
     "inversion_partner",
     "invert_drive",
     "jacobi_eigh",
-    "propagate",
     "resonant_drive",
     "rk4_solve",
     "rotate",
     "schrodinger_rhs",
+    "solve_frame",
     "spin32_reduction",
     "structure_constants",
     "trace_via_spectral",

@@ -24,15 +24,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import algebra
-from .dynamics import rk4_solve, trace_via_spectral
+from .dynamics import rk4_solve, solve_frame, trace_via_spectral
 from .errors import ConfigurationError, NumericsError
 from .frame import check_time_independence, resonant_drive, rotate
 from .models import (
+    LEVELS,
     DriveParams,
     ModelId,
     PopulationTrace,
@@ -41,11 +42,13 @@ from .models import (
     catalog,
     get_model,
 )
-from .spectral import jacobi_eigh
+# not called here since reduce-su2 reads its eigenvalues from the solved
+# frame; kept as a module binding because the benchmark's tracer self-test
+# patches and calls cli.jacobi_eigh
+from .spectral import jacobi_eigh  # noqa: F401
 from .symmetry import (
     check_inversion,
     inversion_partner,
-    spin32_frame_matrix,
     spin32_reduction,
 )
 
@@ -368,7 +371,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print("frame matrix (rows and columns ordered level 4..1):")
         for row in fr.h_tilde:
             print("  " + " ".join(f"{x:+.12e}" for x in row))
-    trace = run_trace(cfg, allow_nonresonant=args.allow_nonresonant)
+    try:
+        trace = run_trace(cfg, allow_nonresonant=args.allow_nonresonant)
+    except MemoryError:
+        raise ConfigurationError(
+            f"not enough memory for a grid of --steps {cfg.steps} points"
+        ) from None
     out = args.out or os.path.join(default_outdir(), "trace.csv")
     write_trace_csv(out, trace, trace_metadata(cfg))
     print(f"wrote {out} ({trace.times.size} rows, max norm error {trace.max_norm_error():.3e})")
@@ -382,11 +390,16 @@ def cmd_figure(args: argparse.Namespace) -> int:
     out_dir = args.out_dir or default_outdir()
     os.makedirs(out_dir, exist_ok=True)
     kappas = {tr: STANDARD_COUPLINGS[tr] for tr in model.allowed}
+    cfg = RunConfig(model=model.id, kappas=kappas)
+    t_grid = np.linspace(0.0, cfg.t_max, cfg.steps)
+    # the four start levels share one drive and grid: solve once, evaluate together
+    amplitudes = solve_frame(model, build_drive(cfg)).amplitudes(
+        [StateVector.basis(level) for level in LEVELS], t_grid
+    )
     written = []
-    for level in (1, 2, 3, 4):
-        cfg = RunConfig(model=model.id, kappas=kappas, init=level)
-        trace = run_trace(cfg)
-        meta = trace_metadata(cfg)
+    for level, amps in zip(LEVELS, amplitudes):
+        trace = PopulationTrace(times=t_grid, populations=np.abs(amps) ** 2)
+        meta = trace_metadata(replace(cfg, init=level))
         if args.id == 10:
             # the paper figure's label; the run itself is resonant
             meta.append(("omega_field", "0.4 0.4 0.4"))
@@ -407,10 +420,7 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
     coupling = {tr: STANDARD_COUPLINGS[tr] for tr in source.allowed}
     drive = resonant_drive(source, DEFAULT_OMEGA, coupling)
     t_grid = np.linspace(0.0, DEFAULT_T_MAX, 2001)
-    worst = 0.0
-    for level in (1, 2, 3, 4):
-        dev = check_inversion(source.id, drive, level, t_grid)
-        worst = max(worst, dev)
+    worst = check_inversion(source.id, drive, t_grid)
     print(
         f"inversion {source.id.value} -> {partner.value}:"
         f" max population deviation {worst:.3e} over t in [0, {DEFAULT_T_MAX:g}]"
@@ -424,8 +434,8 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
 def cmd_reduce_su2(args: argparse.Namespace) -> int:
     kappa = args.kappa
     t_grid = np.linspace(0.0, DEFAULT_T_MAX, 2001)
-    _, deviation = spin32_reduction(kappa, t_grid)
-    eigenvalues = jacobi_eigh(spin32_frame_matrix(kappa)).eigenvalues
+    _, deviation, solution = spin32_reduction(kappa, t_grid)
+    eigenvalues = solution.eigensystem.eigenvalues
     expected = np.array([-3.0, -1.0, 1.0, 3.0]) * kappa
     eig_err = float(np.abs(eigenvalues - expected).max())
     print("eigenvalues: " + " ".join(f"{v:.12g}" for v in eigenvalues))

@@ -2,19 +2,28 @@
 
 The two routes are deliberately independent. ``rk4_solve`` marches the
 time-dependent lab-frame equation dC/dt = -i H(t) C with classic fixed-step
-RK4 and never touches the rotating frame; ``trace_via_spectral`` evaluates
-the closed-form solution from the frame matrix eigensystem. Populations are
+RK4 and never touches the rotating frame; the spectral route evaluates the
+closed-form solution from the frame matrix eigensystem. Populations are
 frame invariant (the frame transformation is a diagonal unitary), so the two
 must agree wherever both apply, which is the backbone cross-check of the
 whole package.
+
+The spectral route has one evaluation path. ``solve_frame`` builds the
+rotating frame of one (model, drive) pair and diagonalizes it once; the
+resulting ``FrameSolution`` evaluates any number of initial states on a
+grid from one matrix of phases. ``trace_via_spectral`` is the one-state
+shorthand.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 
 from .errors import ConfigurationError, NumericsError
-from .frame import RESONANCE_TOL, rotate
+from .frame import RESONANCE_TOL, RotatingFrame, rotate
 from .models import (
     DriveParams,
     ModelConfig,
@@ -24,11 +33,13 @@ from .models import (
     to_level_order,
     to_row_order,
 )
-from .spectral import jacobi_eigh
+from .spectral import EigenSystem, jacobi_eigh
 
 __all__ = [
+    "FrameSolution",
     "rk4_solve",
     "schrodinger_rhs",
+    "solve_frame",
     "trace_via_spectral",
 ]
 
@@ -127,19 +138,43 @@ def rk4_solve(
     return trace, final
 
 
-def trace_via_spectral(
-    model: ModelConfig,
-    drive: DriveParams,
-    c0: StateVector,
-    t_grid,
-    allow_nonresonant: bool = False,
-) -> PopulationTrace:
-    """Exact populations on an arbitrary strictly increasing grid.
+@dataclass(frozen=True)
+class FrameSolution:
+    """The rotating frame of one (model, drive) pair and its eigensystem.
 
-    Diagonalizes the rotating-frame matrix once and evaluates the propagator
-    in closed form per grid point. The frame matrix is real symmetric for any
-    drive, but off resonance its diagonal is nonzero and the caller must opt
-    in explicitly; the resonant case is the primary regime for this route.
+    With T the diagonalizer and L the eigenvalues of the frame matrix, the
+    row-ordered frame amplitudes are c(t) = T.T diag(exp(-i L t)) T c(0);
+    populations are frame invariant, so |c(t)|^2 are the lab populations.
+    """
+
+    frame: RotatingFrame
+    eigensystem: EigenSystem
+
+    def amplitudes(self, states: Sequence[StateVector], t_grid) -> list[np.ndarray]:
+        """Level-ordered frame amplitudes of each state, one row per grid time.
+
+        The grid is checked and the phases exp(-i L t) are computed once for
+        all states.
+        """
+        t_grid = np.asarray(t_grid, dtype=float)
+        if t_grid.ndim != 1 or t_grid.size < 1:
+            raise ConfigurationError("time grid must be a non-empty 1-d array")
+        t_mat = self.eigensystem.diagonalizer
+        phases = np.exp(-1j * np.outer(t_grid, self.eigensystem.eigenvalues))
+        return [
+            ((phases * (t_mat @ to_row_order(c0.amplitudes))) @ t_mat)[:, ::-1]
+            for c0 in states
+        ]
+
+
+def solve_frame(
+    model: ModelConfig, drive: DriveParams, allow_nonresonant: bool = False
+) -> FrameSolution:
+    """Rotate one (model, drive) pair into its frame and diagonalize it once.
+
+    The frame matrix is real symmetric for any drive, but off resonance its
+    diagonal is nonzero and the caller must opt in explicitly; the resonant
+    case is the primary regime of the spectral route.
     """
     drive.validate_for(model)
     fr = rotate(model, drive)
@@ -148,14 +183,21 @@ def trace_via_spectral(
             f"drive is off resonance (max detuning {fr.max_detuning():.2e}"
             f" > {RESONANCE_TOL:.0e}); pass allow_nonresonant=True to proceed"
         )
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1:
-        raise ConfigurationError("time grid must be a non-empty 1-d array")
+    return FrameSolution(frame=fr, eigensystem=jacobi_eigh(fr.h_tilde))
 
-    es = jacobi_eigh(fr.h_tilde)
-    t_mat = es.diagonalizer
-    weights = t_mat @ to_row_order(c0.amplitudes)
-    phases = np.exp(-1j * np.outer(t_grid, es.eigenvalues))
-    c_rows = (phases * weights) @ t_mat
-    populations = np.abs(c_rows[:, ::-1]) ** 2
-    return PopulationTrace(times=t_grid, populations=populations)
+
+def trace_via_spectral(
+    model: ModelConfig,
+    drive: DriveParams,
+    c0: StateVector,
+    t_grid,
+    allow_nonresonant: bool = False,
+) -> PopulationTrace:
+    """Exact populations of one initial state on a strictly increasing grid.
+
+    Shorthand for ``solve_frame`` followed by ``FrameSolution.amplitudes``;
+    a caller with several initial states should solve once and evaluate them
+    together.
+    """
+    (amps,) = solve_frame(model, drive, allow_nonresonant).amplitudes([c0], t_grid)
+    return PopulationTrace(times=t_grid, populations=np.abs(amps) ** 2)

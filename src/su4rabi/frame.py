@@ -4,10 +4,13 @@ For every configuration the three field frequencies admit a diagonal frame
 generator K with
 
     K_a - K_b = -w_ab   for each allowed transition (a, b),
-    sum_i K_i = 0,
+    sum_i K_i = 0.
 
-a well-posed linear system because the allowed transitions form a spanning
-tree on the four levels. In the frame rotated by ``exp(i K t)`` the
+The allowed transitions form a spanning tree on the four levels, so K is
+found by walking the tree: K_1 = 0, each transition reached from a known
+level fixes the other end by its equation, and the mean is subtracted at
+the end. A transition set with a cycle or an unreachable level has no such
+walk and is rejected. In the frame rotated by ``exp(i K t)`` the
 transformed matrix
 
     H~ = K + exp(-i K t) H(t) exp(i K t)
@@ -28,6 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .models import (
+    LEVELS,
     DriveParams,
     ModelConfig,
     Transition,
@@ -62,27 +66,35 @@ class RotatingFrame:
 
 
 def frame_generator(model: ModelConfig, drive: DriveParams) -> np.ndarray:
-    """Solve for the level-ordered frame generator (K1, K2, K3, K4).
+    """The level-ordered frame generator (K1, K2, K3, K4), by a tree walk.
 
-    Raises ConfigurationError when the transition set does not determine the
-    generator (the linear system is singular off a spanning tree).
+    Raises ConfigurationError when the transition set is not a spanning tree
+    (a cycle leaves the generator underdetermined, an unreachable level
+    leaves it unconstrained).
     """
     drive.validate_for(model)
     transitions = model.sorted_transitions()
-    a_mat = np.zeros((4, 4))
-    rhs = np.zeros(4)
-    for row, (a, b) in enumerate(transitions):
-        a_mat[row, a - 1] = 1.0
-        a_mat[row, b - 1] = -1.0
-        rhs[row] = -drive.field_freq[(a, b)]
-    a_mat[3, :] = 1.0
-    try:
-        return np.linalg.solve(a_mat, rhs)
-    except np.linalg.LinAlgError as exc:
+    k = {1: 0.0}
+    pending = list(transitions)
+    while pending:
+        for a, b in pending:
+            if (a in k) == (b in k):
+                continue
+            if a in k:
+                k[b] = k[a] + drive.field_freq[(a, b)]
+            else:
+                k[a] = k[b] - drive.field_freq[(a, b)]
+            pending.remove((a, b))
+            break
+        else:
+            break
+    if pending or len(k) != 4:
         raise ConfigurationError(
             f"transition set {sorted(transitions)} is not a spanning tree;"
             " the frame generator is underdetermined"
-        ) from exc
+        )
+    mean = (k[1] + k[2] + k[3] + k[4]) / 4.0
+    return np.array([k[level] - mean for level in LEVELS])
 
 
 def rotate(model: ModelConfig, drive: DriveParams) -> RotatingFrame:
@@ -91,30 +103,34 @@ def rotate(model: ModelConfig, drive: DriveParams) -> RotatingFrame:
     energies = model.energies(drive.omega)
     diag_det = energies + k_levels
 
-    h = np.diag(to_row_order(diag_det)).copy()
+    rows = [[0.0] * 4 for _ in range(4)]
+    for r, value in enumerate(to_row_order(diag_det).tolist()):
+        rows[r][r] = value
     for (a, b) in model.sorted_transitions():
-        kappa = drive.coupling[(a, b)]
-        h[row_of(a), row_of(b)] = kappa
-        h[row_of(b), row_of(a)] = kappa
+        rows[row_of(a)][row_of(b)] = rows[row_of(b)][row_of(a)] = drive.coupling[(a, b)]
 
     detunings = {
         (a, b): float((energies[a - 1] - energies[b - 1]) - drive.field_freq[(a, b)])
         for (a, b) in model.sorted_transitions()
     }
     return RotatingFrame(
-        model=model, K=k_levels, h_tilde=h, detunings=detunings, diag_detunings=diag_det
+        model=model, K=k_levels, h_tilde=np.array(rows, dtype=float),
+        detunings=detunings, diag_detunings=diag_det,
     )
 
 
-def transform_at(
-    model: ModelConfig, drive: DriveParams, t: float, k_levels: np.ndarray
-) -> np.ndarray:
-    """Evaluate K + exp(-iKt) H(t) exp(iKt) at one instant, no cancellation
-    assumed. Used to certify time independence of the constructed frame."""
+def transform_at(model: ModelConfig, drive: DriveParams, t, k_levels: np.ndarray) -> np.ndarray:
+    """Evaluate K + exp(-iKt) H(t) exp(iKt), no cancellation assumed.
+
+    Used to certify time independence of the constructed frame. An array of
+    times gives one matrix per time, shape ``t.shape + (4, 4)``.
+    """
     k_rows = to_row_order(np.asarray(k_levels, dtype=float))
-    phase = np.exp(-1j * k_rows * t)
+    t = np.asarray(t, dtype=float)
+    phase = np.exp(-1j * k_rows * t[..., None])
     h_lab = hamiltonian_t(model, drive, t)
-    return np.diag(k_rows).astype(complex) + phase[:, None] * h_lab * phase.conj()[None, :]
+    return (np.diag(k_rows).astype(complex)
+            + phase[..., :, None] * h_lab * phase.conj()[..., None, :])
 
 
 def check_time_independence(
@@ -126,18 +142,16 @@ def check_time_independence(
     """Max elementwise drift of the transformed matrix across sample times.
 
     With the solved generator the drift is rounding noise; passing a wrong
-    ``k_levels`` leaves oscillating phases and a visible residual.
+    ``k_levels`` leaves oscillating phases and a visible residual. All
+    sample times are evaluated by one array call.
     """
     times = list(sample_times)
     if len(times) < 2:
         raise ConfigurationError("need at least two sample times")
     if k_levels is None:
         k_levels = frame_generator(model, drive)
-    reference = transform_at(model, drive, times[0], k_levels)
-    drift = 0.0
-    for t in times[1:]:
-        drift = max(drift, float(np.abs(transform_at(model, drive, t, k_levels) - reference).max()))
-    return drift
+    matrices = transform_at(model, drive, np.array(times, dtype=float), k_levels)
+    return float(np.abs(matrices[1:] - matrices[0]).max())
 
 
 def resonant_drive(

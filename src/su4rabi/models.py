@@ -79,7 +79,8 @@ class ModelConfig:
         w = np.asarray(omega, dtype=float)
         if w.shape != (3,):
             raise ConfigurationError("omega must hold exactly three splittings")
-        return np.array([float(np.dot(c, w)) for c in self.energy_coeffs])
+        w1, w2, w3 = w.tolist()
+        return np.array([c1 * w1 + c2 * w2 + c3 * w3 for c1, c2, c3 in self.energy_coeffs])
 
     def sorted_transitions(self) -> tuple[Transition, ...]:
         return tuple(sorted(self.allowed, reverse=True))

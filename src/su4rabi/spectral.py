@@ -1,6 +1,6 @@
 """Spectral tools for the 4x4 frame matrices.
 
-Three independent pieces live here:
+Two independent pieces live here:
 
 * a deterministic cyclic Jacobi eigensolver for real symmetric 4x4 input,
   returning ascending eigenvalues, a sign-fixed orthogonal diagonalizer and
@@ -9,11 +9,11 @@ Three independent pieces live here:
   updates only the rows and columns it touches, in place;
 * the six-angle Givens parametrization of SO(4), as the ordered product
   G(1,2) G(1,3) G(1,4) G(2,3) G(2,4) G(3,4) of plane rotations, with a
-  constructive factorization inverting it;
-* the exact propagator built from an eigensystem.
+  constructive factorization inverting it.
 
 Conventions: the diagonalizer T stores eigenvectors in its ROWS, so
-``T @ H @ T.T`` is diagonal and ``exp(-iHt) = T.T @ diag(exp(-i L t)) @ T``.
+``T @ H @ T.T`` is diagonal and ``exp(-iHt) = T.T @ diag(exp(-i L t)) @ T``
+(``dynamics.FrameSolution`` evaluates this propagator).
 A plane rotation by angle th in plane (p, q) carries the block
 ``[[cos th, -sin th], [sin th, cos th]]`` in rows/columns (p, q).
 """
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .models import StateVector, to_level_order, to_row_order
 
 # Plane order of the six-angle factorization, zero-indexed.
 PLANES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -54,9 +53,11 @@ def jacobi_eigh(h: np.ndarray) -> EigenSystem:
     """Diagonalize a real symmetric 4x4 matrix by cyclic Jacobi sweeps.
 
     Input whose asymmetry ``max|h - h.T|`` exceeds 1e-12 of ``max|h|`` is
-    rejected (``ValueError``), and so is input with a NaN or infinite entry
-    (``NumericsError``). The sweeps run on the symmetric part of the matrix
-    scaled by an exact power of two, so that its largest entry lies in
+    rejected (``ValueError``), and so is complex input with any non-zero
+    imaginary part (``ValueError``; a complex matrix whose imaginary parts
+    are all zero is read as its real part) and input with a NaN or infinite
+    entry (``NumericsError``). The sweeps run on the symmetric part of the
+    matrix scaled by an exact power of two, so that its largest entry lies in
     [1/2, 1), and the eigenvalues are scaled back; the result does not
     depend on the scale, however small or large, and an eigenvalue beyond
     the float range raises ``NumericsError``. Sweeps visit the planes in the
@@ -76,6 +77,14 @@ def jacobi_eigh(h: np.ndarray) -> EigenSystem:
     components of an eigenvector have equal magnitude up to rounding, as in
     the palindromic eigenvectors of resonant symmetric configurations.
     """
+    h = np.asarray(h)
+    if np.iscomplexobj(h):
+        if np.any(h.imag != 0.0):
+            raise ValueError(
+                "matrix is not real: imaginary parts up to"
+                f" {float(np.abs(h.imag).max()):.3e}"
+            )
+        h = h.real
     h = np.asarray(h, dtype=float)
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
@@ -201,16 +210,3 @@ def factor_orthogonal(t: np.ndarray) -> np.ndarray:
     q2 = plane_rotation(1, 3, -th5) @ plane_rotation(1, 2, -th4) @ q
     th6 = math.atan2(q2[3, 2], q2[2, 2])
     return np.array([th1, th2, th3, th4, th5, th6])
-
-
-def propagate(es: EigenSystem, c0: StateVector, t: float) -> StateVector:
-    """Evolve ``c0`` for time ``t`` under the matrix ``es`` diagonalizes."""
-    norm_dev = abs(float(np.sum(c0.populations())) - 1.0)
-    if norm_dev > 1e-12:
-        raise ValueError(f"initial state norm deviates by {norm_dev:.2e}")
-    t_mat = es.diagonalizer
-    v_rows = to_row_order(c0.amplitudes)
-    w = t_mat @ v_rows
-    w = np.exp(-1j * es.eigenvalues * t) * w
-    out_rows = t_mat.T @ w
-    return StateVector(to_level_order(out_rows))

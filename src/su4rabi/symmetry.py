@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import trace_via_spectral
+from .dynamics import FrameSolution, solve_frame
 from .errors import ConfigurationError
 from .frame import resonant_drive, rotate
 from .models import (
+    LEVELS,
     DriveParams,
     ModelConfig,
     ModelId,
@@ -111,30 +112,31 @@ def invert_drive(
 def check_inversion(
     mid: ModelId | str,
     drive: DriveParams,
-    init_level: int,
     t_grid,
     allow_nonresonant: bool = False,
 ) -> float:
-    """Max population deviation |P_i(t) - P'_{5-i}(t)| across the grid.
+    """Max population deviation |P_i(t) - P'_{5-i}(t)| across the grid and
+    over all four start levels.
 
-    The source starts in ``init_level``, the partner in its mirror level.
-    Off-resonant drives are rejected unless explicitly allowed (the mapping
-    itself stays exact either way).
+    The source starts in each level j in turn, the partner in its mirror
+    level 5 - j. Each side is solved once, from its own frame matrix, so the
+    check stays independent of the source's spectrum. Off-resonant drives
+    are rejected unless explicitly allowed (the mapping itself stays exact
+    either way).
     """
     model = get_model(mid)
     partner, partner_drive = invert_drive(model, drive)
-    src = trace_via_spectral(
-        model, drive, StateVector.basis(init_level), t_grid, allow_nonresonant
+    src = solve_frame(model, drive, allow_nonresonant).amplitudes(
+        [StateVector.basis(level) for level in LEVELS], t_grid
     )
-    dst = trace_via_spectral(
-        partner,
-        partner_drive,
-        StateVector.basis(map_level(init_level)),
-        t_grid,
-        allow_nonresonant,
+    dst = solve_frame(partner, partner_drive, allow_nonresonant).amplitudes(
+        [StateVector.basis(map_level(level)) for level in LEVELS], t_grid
     )
     # level i of the source lines up with level 5-i, i.e. reversed columns
-    return float(np.abs(src.populations - dst.populations[:, ::-1]).max())
+    return max(
+        float(np.abs(np.abs(a) ** 2 - (np.abs(b) ** 2)[:, ::-1]).max())
+        for a, b in zip(src, dst)
+    )
 
 
 def spin32_couplings(kappa: float) -> dict[Transition, float]:
@@ -155,15 +157,21 @@ def spin32_reduction(
     kappa: float,
     t_grid,
     omega: tuple[float, float, float] = (1.0, 2.0, 3.0),
-) -> tuple[PopulationTrace, float]:
-    """Run the reduction and report the max deviation from the closed form."""
+) -> tuple[PopulationTrace, float, FrameSolution]:
+    """Run the reduction from the top level.
+
+    Returns the trace, its max deviation from the closed form, and the
+    solved frame it was evaluated from (its eigenvalues are the ladder).
+    """
     model = get_model(ModelId.III)
     drive = resonant_drive(model, omega, spin32_couplings(kappa))
-    trace = trace_via_spectral(model, drive, StateVector.basis(4), t_grid)
+    solution = solve_frame(model, drive)
+    (amps,) = solution.amplitudes([StateVector.basis(4)], t_grid)
+    trace = PopulationTrace(times=t_grid, populations=np.abs(amps) ** 2)
     deviation = float(
         np.abs(trace.populations - spin32_closed_form(kappa, trace.times)).max()
     )
-    return trace, deviation
+    return trace, deviation, solution
 
 
 def spin32_frame_matrix(kappa: float, omega=(1.0, 2.0, 3.0)) -> np.ndarray:

@@ -227,8 +227,7 @@ def test_criterion_07_inversion_symmetry():
     for mid in ("I", "II", "III", "IV"):
         model = get_model(mid)
         drive = standard_drive(model)
-        for level in (1, 2, 3, 4):
-            worst = max(worst, check_inversion(mid, drive, level, grid))
+        worst = max(worst, check_inversion(mid, drive, grid))
     ok = worst < 1e-9
     assert report(7, "inversion symmetry", ok, f"max deviation {worst:.2e}")
 

@@ -6,12 +6,14 @@ the CSV files it writes. Exit code contract: 0 success, 1 check failure,
 """
 
 import json
+import resource
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from su4rabi import cli, dynamics, spectral, symmetry
 from su4rabi.cli import (
     _CSV_BLOCK,
     RunConfig,
@@ -355,6 +357,26 @@ class TestSimulate:
         assert not out.exists()
 
 
+    def test_unallocatable_grid_exits_2(self, tmp_path):
+        # the address-space limit makes the 7.5 GiB grid fail at once; never
+        # run this case without it, on a host that overcommits memory it
+        # would start filling the grid
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        out = tmp_path / "huge.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "su4rabi.cli", "simulate", "--model", "I",
+             "--kappa", "41=0.7", "--steps", "1000000000", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            preexec_fn=limit_address_space,
+        )
+        assert proc.returncode == 2
+        assert "--steps 1000000000" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
 class TestFigure:
     def test_writes_four_cases(self, tmp_path, capsys):
         assert main(["figure", "9", "--out-dir", str(tmp_path)]) == 0
@@ -423,6 +445,34 @@ class TestReduceSu2Command:
 
     def test_nonpositive_kappa_exits_2(self):
         assert main(["reduce-su2", "--kappa", "-1"]) == 2
+
+
+class TestSingleSolve:
+    """Each command diagonalizes each distinct frame matrix once."""
+
+    @staticmethod
+    def count_eigensolves(monkeypatch, argv):
+        calls = []
+
+        def counted(h):
+            calls.append(h)
+            return spectral.jacobi_eigh(h)
+
+        for module in (dynamics, symmetry, cli):
+            if hasattr(module, "jacobi_eigh"):
+                monkeypatch.setattr(module, "jacobi_eigh", counted)
+        assert main(argv) == 0
+        return len(calls)
+
+    def test_symmetry_solves_source_and_partner_once(self, monkeypatch, capsys):
+        assert self.count_eigensolves(monkeypatch, ["symmetry", "I:VI"]) == 2
+
+    def test_reduce_su2_solves_once(self, monkeypatch, capsys):
+        assert self.count_eigensolves(monkeypatch, ["reduce-su2"]) == 1
+
+    def test_figure_solves_once_for_four_levels(self, monkeypatch, capsys, tmp_path):
+        argv = ["figure", "7", "--out-dir", str(tmp_path)]
+        assert self.count_eigensolves(monkeypatch, argv) == 1
 
 
 def test_module_entry_point():

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su4rabi.dynamics import rk4_solve, schrodinger_rhs, trace_via_spectral
+from su4rabi.dynamics import rk4_solve, schrodinger_rhs, solve_frame, trace_via_spectral
 from su4rabi.errors import ConfigurationError, NumericsError
 from su4rabi.frame import frame_generator, resonant_drive
 from su4rabi.models import (
     DriveParams,
     StateVector,
+    catalog,
     get_model,
     to_level_order,
     to_row_order,
@@ -254,6 +255,44 @@ class TestSpectralTrace:
         trace, _ = rk4_solve(MODEL_I, CHAIN_DRIVE, c0, grid)
         exact = trace_via_spectral(MODEL_I, CHAIN_DRIVE, c0, grid)
         assert np.abs(trace.populations - exact.populations).max() < 1e-8
+
+
+unit_states = st.lists(
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    min_size=4, max_size=4,
+).filter(lambda z: np.linalg.norm(z) > 0.1).map(
+    lambda z: StateVector(np.array(z) / np.linalg.norm(z))
+)
+
+
+class TestFrameSolution:
+    @given(
+        st.sampled_from([m.id.value for m in catalog()]),
+        st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+        st.lists(unit_states, min_size=2, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_states_evaluated_together_match_separate_traces(self, mid, detunings, states):
+        # the phase matrix is shared by every state; each state's populations
+        # must still be bit for bit those of its own single-state trace
+        model = get_model(mid)
+        coupling = {tr: 0.2 + 0.1 * i for i, tr in enumerate(model.sorted_transitions())}
+        base = resonant_drive(model, OMEGA, coupling)
+        fields = {tr: base.field_freq[tr] + d
+                  for tr, d in zip(model.sorted_transitions(), detunings)}
+        drive = DriveParams(omega=OMEGA, field_freq=fields, coupling=coupling)
+        grid = uniform_grid(20.0, 201)
+        together = solve_frame(model, drive, allow_nonresonant=True).amplitudes(states, grid)
+        assert len(together) == len(states)
+        for c0, amps in zip(states, together):
+            alone = trace_via_spectral(model, drive, c0, grid, allow_nonresonant=True)
+            assert np.array_equal(np.abs(amps) ** 2, alone.populations)
+
+    def test_rejects_bad_grid(self):
+        solution = solve_frame(MODEL_I, CHAIN_DRIVE)
+        for grid in (np.array([]), np.zeros((2, 2))):
+            with pytest.raises(ConfigurationError, match="non-empty 1-d"):
+                solution.amplitudes([StateVector.basis(1)], grid)
 
 
 class TestBackendParity:

@@ -12,6 +12,7 @@ from su4rabi.frame import (
     frame_generator,
     resonant_drive,
     rotate,
+    transform_at,
 )
 from su4rabi.models import DriveParams, ModelConfig, ModelId, catalog, get_model
 
@@ -91,6 +92,41 @@ class TestFrameGenerator:
         )
         with pytest.raises(ConfigurationError):
             frame_generator(cyclic, drive)
+
+
+    def test_cycle_through_all_four_levels_is_rejected(self):
+        # four transitions reach every level, but one closes a cycle and its
+        # equation could contradict the others
+        allowed = {(2, 1), (3, 2), (3, 1), (4, 1)}
+        cyclic = ModelConfig(
+            id=ModelId.I,
+            allowed=frozenset(allowed),
+            energy_coeffs=get_model("I").energy_coeffs,
+            diagonal_ops=get_model("I").diagonal_ops,
+        )
+        drive = DriveParams(
+            omega=(1.0, 2.0, 3.0),
+            field_freq={(2, 1): 1.0, (3, 2): 1.0, (3, 1): 2.5, (4, 1): 3.0},
+            coupling={tr: 0.1 for tr in allowed},
+        )
+        with pytest.raises(ConfigurationError, match="not a spanning tree"):
+            frame_generator(cyclic, drive)
+
+    def test_unreachable_level_is_rejected(self):
+        allowed = {(2, 1), (3, 2)}
+        short = ModelConfig(
+            id=ModelId.III,
+            allowed=frozenset(allowed),
+            energy_coeffs=get_model("III").energy_coeffs,
+            diagonal_ops=get_model("III").diagonal_ops,
+        )
+        drive = DriveParams(
+            omega=(1.0, 2.0, 3.0),
+            field_freq={tr: 1.0 for tr in allowed},
+            coupling={tr: 0.1 for tr in allowed},
+        )
+        with pytest.raises(ConfigurationError, match="not a spanning tree"):
+            frame_generator(short, drive)
 
 
 class TestRotate:
@@ -184,9 +220,18 @@ class TestTimeIndependence:
         with pytest.raises(ConfigurationError):
             check_time_independence(get_model("I"), generic_drive(get_model("I")), (0.0,))
 
-    def test_matches_rotating_frame_matrix(self):
-        from su4rabi.frame import transform_at
+    def test_array_evaluation_matches_per_time_loop(self):
+        # one array call over all sample times gives the very bits of the
+        # per-time evaluation
+        for m in catalog():
+            drive = generic_drive(m)
+            k = frame_generator(m, drive)
+            reference = transform_at(m, drive, SAMPLE_TIMES[0], k)
+            loop = max(float(np.abs(transform_at(m, drive, t, k) - reference).max())
+                       for t in SAMPLE_TIMES[1:])
+            assert check_time_independence(m, drive, SAMPLE_TIMES) == loop
 
+    def test_matches_rotating_frame_matrix(self):
         for m in catalog():
             drive = generic_drive(m)
             fr = rotate(m, drive)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from su4rabi.cli import STANDARD_COUPLINGS
+from su4rabi.dynamics import solve_frame
 from su4rabi.errors import NumericsError
 from su4rabi.frame import resonant_drive, rotate
 from su4rabi.models import StateVector, catalog, get_model
@@ -17,7 +18,6 @@ from su4rabi.spectral import (
     factor_orthogonal,
     jacobi_eigh,
     plane_rotation,
-    propagate,
 )
 
 symmetric_matrices = arrays(
@@ -206,6 +206,24 @@ class TestJacobi:
         with pytest.raises(ValueError):
             jacobi_eigh(bad)
 
+    def test_rejects_complex_hermitian_input(self):
+        # a real cast would drop the imaginary parts and return 0 0 0 0
+        # for this matrix, whose spectrum is -1 0 0 1
+        h = np.zeros((4, 4), dtype=complex)
+        h[0, 1] = 1j
+        h[1, 0] = -1j
+        with pytest.raises(ValueError, match=r"imaginary parts up to 1\.000e\+00"):
+            jacobi_eigh(h)
+
+    def test_accepts_complex_input_with_zero_imaginary_parts(self):
+        rng = np.random.default_rng(47)
+        h = rng.standard_normal((4, 4))
+        h = h + h.T
+        real, cplx = jacobi_eigh(h), jacobi_eigh(h.astype(complex))
+        assert np.array_equal(cplx.eigenvalues, real.eigenvalues)
+        assert np.array_equal(cplx.diagonalizer, real.diagonalizer)
+        assert cplx.eigenvalues.dtype == np.float64
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             jacobi_eigh(np.eye(3))
@@ -286,65 +304,63 @@ class TestComposeFactor:
         assert r[0, 0] == 1.0 and r[2, 2] == 1.0
 
 
+def evolve(solution, c0, t):
+    """Level-ordered amplitudes of ``c0`` at time ``t`` through the frame
+    solution's evaluation kernel."""
+    (amps,) = solution.amplitudes([c0], np.array([t]))
+    return StateVector(amps[0])
+
+
 class TestPropagate:
+    """Group laws of the exact propagator, through ``FrameSolution``."""
+
     @staticmethod
-    def resonant_system(mid="I"):
+    def resonant_system(mid="I", kappa=0.3):
         m = get_model(mid)
-        drive = resonant_drive(m, (1.0, 2.0, 3.0), {tr: 0.3 for tr in m.allowed})
-        return jacobi_eigh(rotate(m, drive).h_tilde)
+        return solve_frame(m, resonant_drive(m, (1.0, 2.0, 3.0), {tr: kappa for tr in m.allowed}))
 
     def test_zero_time_is_identity(self):
-        es = self.resonant_system()
+        sol = self.resonant_system()
         c0 = StateVector.basis(2)
-        out = propagate(es, c0, 0.0)
+        out = evolve(sol, c0, 0.0)
         assert np.abs(out.amplitudes - c0.amplitudes).max() < 1e-14
 
     def test_zero_matrix_is_stationary(self):
-        es = jacobi_eigh(np.zeros((4, 4)))
+        sol = self.resonant_system(kappa=0.0)
+        assert np.array_equal(sol.frame.h_tilde, np.zeros((4, 4)))
         c0 = StateVector(np.array([0.5, 0.5, 0.5, 0.5], dtype=complex))
-        out = propagate(es, c0, 7.3)
+        out = evolve(sol, c0, 7.3)
         assert np.abs(out.amplitudes - c0.amplitudes).max() < 1e-14
 
     def test_norm_preserved(self):
-        es = self.resonant_system("III")
+        sol = self.resonant_system("III")
         for level in (1, 2, 3, 4):
-            out = propagate(es, StateVector.basis(level), 17.0)
+            out = evolve(sol, StateVector.basis(level), 17.0)
             assert abs(np.sum(out.populations()) - 1.0) < 1e-14
 
     def test_group_property(self):
-        es = self.resonant_system("IV")
+        sol = self.resonant_system("IV")
         c0 = StateVector.basis(1)
-        one_step = propagate(es, propagate(es, c0, 2.0), 3.0)
-        direct = propagate(es, c0, 5.0)
+        one_step = evolve(sol, evolve(sol, c0, 2.0), 3.0)
+        direct = evolve(sol, c0, 5.0)
         assert np.abs(one_step.amplitudes - direct.amplitudes).max() < 1e-13
 
     def test_time_reversal(self):
-        es = self.resonant_system("VI")
+        sol = self.resonant_system("VI")
         c0 = StateVector.basis(3)
-        back = propagate(es, propagate(es, c0, 4.2), -4.2)
+        back = evolve(sol, evolve(sol, c0, 4.2), -4.2)
         assert np.abs(back.amplitudes - c0.amplitudes).max() < 1e-13
 
     def test_matches_matrix_exponential(self):
         # independent oracle: dense eigendecomposition from the library
-        m = get_model("II")
-        drive = resonant_drive(m, (1.0, 2.0, 3.0), {tr: 0.4 for tr in m.allowed})
-        h = rotate(m, drive).h_tilde
-        es = jacobi_eigh(h)
-        w, v = np.linalg.eigh(h)
+        sol = self.resonant_system("II", kappa=0.4)
+        w, v = np.linalg.eigh(sol.frame.h_tilde)
         t = 6.5
         u = v @ np.diag(np.exp(-1j * w * t)) @ v.conj().T
         c0 = StateVector.basis(4)
         expected_rows = u @ c0.amplitudes[::-1]
-        out = propagate(es, c0, t)
+        out = evolve(sol, c0, t)
         assert np.abs(out.amplitudes - expected_rows[::-1]).max() < 1e-12
-
-    def test_rejects_bad_norm(self):
-        es = self.resonant_system()
-        good = StateVector.basis(1)
-        bad = StateVector(np.array([1.0, 1e-4, 0.0, 0.0], dtype=complex), norm_tol=1e-6)
-        with pytest.raises(ValueError):
-            propagate(es, bad, 1.0)
-        propagate(es, good, 1.0)
 
 
 class TestEigenSystemType:

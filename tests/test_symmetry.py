@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from su4rabi.dynamics import trace_via_spectral
 from su4rabi.errors import ConfigurationError
 from su4rabi.frame import resonant_drive, rotate
-from su4rabi.models import DriveParams, ModelId, get_model
+from su4rabi.models import DriveParams, ModelId, StateVector, get_model
 from su4rabi.spectral import jacobi_eigh
 from su4rabi.symmetry import (
     EXPECTED_PARTNERS,
@@ -117,14 +118,26 @@ class TestCheckInversion:
         grid = np.linspace(0.0, 20.0, 2001)
         for mid in ALL_IDS:
             _, drive = standard_drive(mid)
-            for level in (1, 4):
-                assert check_inversion(mid, drive, level, grid) < 1e-12
+            assert check_inversion(mid, drive, grid) < 1e-12
 
     def test_single_point_grid_stays_at_rounding_level(self):
         # Even at t = 0 both traces pass through their own eigenbasis
         # reconstruction, so the match is to rounding rather than bitwise.
         _, drive = standard_drive("III")
-        assert check_inversion("III", drive, 2, np.array([0.0])) < 1e-14
+        assert check_inversion("III", drive, np.array([0.0])) < 1e-14
+
+    def test_worst_start_level_is_reported(self):
+        # the deviation is the maximum over the four start levels, each
+        # paired with its mirror level on the partner
+        model, drive = standard_drive("II")
+        partner, pdrive = invert_drive(model, drive)
+        grid = np.linspace(0.0, 20.0, 401)
+        worst = 0.0
+        for level in (1, 2, 3, 4):
+            src = trace_via_spectral(model, drive, StateVector.basis(level), grid)
+            dst = trace_via_spectral(partner, pdrive, StateVector.basis(5 - level), grid)
+            worst = max(worst, float(np.abs(src.populations - dst.populations[:, ::-1]).max()))
+        assert check_inversion("II", drive, grid) == worst
 
     def test_off_resonance_needs_opt_in(self):
         model, base = standard_drive("II")
@@ -133,8 +146,8 @@ class TestCheckInversion:
         drive = DriveParams(omega=OMEGA, field_freq=fields, coupling=base.coupling)
         grid = np.linspace(0.0, 10.0, 501)
         with pytest.raises(ConfigurationError):
-            check_inversion("II", drive, 1, grid)
-        assert check_inversion("II", drive, 1, grid, allow_nonresonant=True) < 1e-12
+            check_inversion("II", drive, grid)
+        assert check_inversion("II", drive, grid, allow_nonresonant=True) < 1e-12
 
 
 class TestSpin32:
@@ -184,9 +197,15 @@ class TestSpin32:
         assert float(pops.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_reduction_matches_closed_form(self):
-        _, deviation = spin32_reduction(0.24, np.linspace(0.0, 30.0, 3001))
+        _, deviation, _ = spin32_reduction(0.24, np.linspace(0.0, 30.0, 3001))
         assert deviation < 1e-10
 
+    def test_reduction_returns_the_solved_ladder(self):
+        _, _, solution = spin32_reduction(0.24, np.linspace(0.0, 5.0, 51))
+        assert np.array_equal(solution.frame.h_tilde, spin32_frame_matrix(0.24))
+        expected = np.array([-3.0, -1.0, 1.0, 3.0]) * 0.24
+        assert np.abs(solution.eigensystem.eigenvalues - expected).max() < 1e-12
+
     def test_reduction_trace_starts_at_top(self):
-        trace, _ = spin32_reduction(0.5, np.linspace(0.0, 5.0, 51))
+        trace, _, _ = spin32_reduction(0.5, np.linspace(0.0, 5.0, 51))
         assert trace.populations[0] == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-14)
