@@ -20,6 +20,7 @@ directory, overridable with SU4RABI_OUTDIR.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -460,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate one configuration, write a CSV trace")
     p.add_argument("--config", help="JSON config file; replaces the other flags")
     p.add_argument("--model", choices=[m.value for m in ModelId], help="configuration id")
-    p.add_argument("--omega", type=float, nargs=3, default=list(DEFAULT_OMEGA),
+    p.add_argument("--omega", type=float, nargs=3, default=DEFAULT_OMEGA,
                    metavar=("W1", "W2", "W3"), help="level splittings")
     p.add_argument("--kappa", nargs="+", metavar="AB=V",
                    help="couplings, e.g. 41=0.7 32=0.24; omitted transitions get 0")
@@ -496,9 +497,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; building it costs far more than a parse."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigurationError as exc:

@@ -9,6 +9,7 @@ import json
 import resource
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +324,21 @@ class TestSimulate:
         ]) == 3
         assert "step size h = 25" in capsys.readouterr().err
 
+    def test_spectral_phase_overflow_exits_3(self, tmp_path, capsys):
+        # max|eigenvalue| 1e308 over t up to 50: exp would see inf and nan
+        # and write nan populations; the overflow is refused up front
+        out = tmp_path / "overflow.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([
+                "simulate", "--model", "I", "--kappa", "41=1e308", "--steps", "3",
+                "--out", str(out),
+            ]) == 3
+        err = capsys.readouterr().err
+        assert "max|eigenvalue| = 1.000e+308" in err
+        assert "max|t| = 5.000e+01" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--kappa", "41=nan", "32=0.24", "21=0.24"], "coupling for (4, 1) is not finite"),
         (["--kappa", "41=nan", "32=0.24", "21=0.24", "--method", "rk4"],
@@ -445,6 +461,28 @@ class TestReduceSu2Command:
 
     def test_nonpositive_kappa_exits_2(self):
         assert main(["reduce-su2", "--kappa", "-1"]) == 2
+
+
+class TestParserReuse:
+    """main builds its parser once; successive calls must not share state."""
+
+    def test_option_does_not_leak_into_next_call(self, capsys):
+        assert main(["reduce-su2", "--kappa", "0.5"]) == 0
+        assert capsys.readouterr().out.startswith("eigenvalues: -1.5 -0.5 0.5 1.5\n")
+        assert main(["reduce-su2"]) == 0
+        assert capsys.readouterr().out.startswith("eigenvalues: -0.72 -0.24 0.24 0.72\n")
+
+    def test_omega_default_is_the_shared_tuple(self):
+        args = cli._parser().parse_args(["simulate", "--model", "I"])
+        assert args.omega is cli.DEFAULT_OMEGA
+        assert cli._parser() is cli._parser()
+
+    def test_usage_error_still_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--steps", "many"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        assert main(["symmetry", "III"]) == 0
 
 
 class TestSingleSolve:

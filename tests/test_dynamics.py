@@ -5,12 +5,20 @@ spectral route diagonalizes the static rotating-frame matrix. They share no
 code beyond the model catalog, so their agreement checks both at once.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su4rabi.dynamics import rk4_solve, schrodinger_rhs, solve_frame, trace_via_spectral
+from su4rabi.dynamics import (
+    _rk4_step_matrices,
+    rk4_solve,
+    schrodinger_rhs,
+    solve_frame,
+    trace_via_spectral,
+)
 from su4rabi.errors import ConfigurationError, NumericsError
 from su4rabi.frame import frame_generator, resonant_drive
 from su4rabi.models import (
@@ -163,11 +171,16 @@ class TestRk4Solve:
         assert trace.max_norm_error() < 1e-10
 
     def test_divergent_step_raises(self):
+        # h kappa = 1e7: each step multiplies the norm by about 4e26, so the
+        # states and the group products overflow to inf and nan within the
+        # march; that must surface as the non-finite error, not a warning
         drive = resonant_drive(
             MODEL_I, OMEGA, {(4, 1): 1e8, (3, 2): 0.0, (2, 1): 0.0}
         )
-        with pytest.raises(NumericsError):
-            rk4_solve(MODEL_I, drive, StateVector.basis(1), uniform_grid(10.0, 101))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="non-finite"):
+                rk4_solve(MODEL_I, drive, StateVector.basis(1), uniform_grid(10.0, 101))
 
     def test_finite_norm_blowup_raises_and_names_step(self):
         # h = 25 stays finite but multiplies the norm by about 6e24
@@ -202,6 +215,36 @@ class TestRk4Solve:
             MODEL_I, CHAIN_DRIVE, StateVector.basis(1), uniform_grid(3.0, 3001)
         )
         assert np.abs(trace.populations[-1] - final.populations()).max() < 1e-15
+
+
+class TestTwoLevelMarch:
+    """The blocked prefix-product march against one step map at a time.
+
+    The counts cover a single step, groups that do not fill a square, and
+    both sides of the 4096-step block boundary.
+    """
+
+    @pytest.mark.parametrize(
+        "n_steps", [1, 2, 3, 4, 5, 99, 100, 101, 4095, 4096, 4097, 8193]
+    )
+    def test_matches_per_step_loop(self, n_steps):
+        model = get_model("II")
+        coupling = {(4, 3): 0.24, (3, 1): 0.7, (2, 1): 0.24}
+        drive = resonant_drive(model, OMEGA, coupling)
+        c0 = StateVector(np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex))
+        grid = 0.3 + np.arange(n_steps + 1) * 1e-2
+        # the step and step times rk4_solve derives from the grid
+        h = grid[1] - grid[0]
+        times = grid[0] + np.arange(n_steps) * h
+
+        states = np.empty((n_steps + 1, 4), dtype=complex)
+        states[0] = to_row_order(c0.amplitudes)
+        for n, step in enumerate(_rk4_step_matrices(model, drive, times, h)):
+            states[n + 1] = step @ states[n]
+
+        trace, final = rk4_solve(model, drive, c0, grid)
+        assert np.abs(trace.populations - np.abs(states[:, ::-1]) ** 2).max() < 1e-13
+        assert np.abs(final.amplitudes - to_level_order(states[-1])).max() < 1e-13
 
 
 class TestSpectralTrace:
@@ -287,6 +330,24 @@ class TestFrameSolution:
         for c0, amps in zip(states, together):
             alone = trace_via_spectral(model, drive, c0, grid, allow_nonresonant=True)
             assert np.array_equal(np.abs(amps) ** 2, alone.populations)
+
+    def test_phase_overflow_raises(self):
+        drive = resonant_drive(MODEL_I, OMEGA, {(4, 1): 1e308, (3, 2): 0.24, (2, 1): 0.24})
+        solution = solve_frame(MODEL_I, drive)
+        state = [StateVector.basis(1)]
+        # |L| t stays finite up to t = 1, so these phases are all finite
+        (amps,) = solution.amplitudes(state, np.array([0.0, 1.0]))
+        assert np.all(np.isfinite(amps))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match=r"1\.000e\+308 times max\|t\| = 2\.000e\+00"):
+                solution.amplitudes(state, np.array([0.0, 2.0]))
+
+    def test_rejects_non_finite_grid(self):
+        solution = solve_frame(MODEL_I, CHAIN_DRIVE)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigurationError, match="finite"):
+                solution.amplitudes([StateVector.basis(1)], np.array([0.0, bad]))
 
     def test_rejects_bad_grid(self):
         solution = solve_frame(MODEL_I, CHAIN_DRIVE)
