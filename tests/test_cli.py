@@ -5,6 +5,8 @@ the CSV files it writes. Exit code contract: 0 success, 1 check failure,
 2 configuration error, 3 numerical blow-up.
 """
 
+import contextlib
+import io
 import json
 import resource
 import subprocess
@@ -13,6 +15,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from su4rabi import cli, dynamics, spectral, symmetry
 from su4rabi.cli import (
@@ -511,6 +515,88 @@ class TestSingleSolve:
     def test_figure_solves_once_for_four_levels(self, monkeypatch, capsys, tmp_path):
         argv = ["figure", "7", "--out-dir", str(tmp_path)]
         assert self.count_eigensolves(monkeypatch, argv) == 1
+
+
+TRANSITION_KEYS = ["41", "42", "43", "31", "32", "21"]
+VALID_INITS = st.one_of(
+    st.integers(1, 4),
+    st.sampled_from([
+        [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        [[0.6, 0.0], [0.0, 0.48], [0.0, 0.0], [0.64, 0.0]],
+        [[0.5, 0.5], [0.5, -0.5], [0.0, 0.0], [0.0, 0.0]],
+    ]),
+)
+ANY_INITS = st.one_of(
+    VALID_INITS,
+    st.sampled_from([0, 5, True, "1"]),
+    st.lists(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2), min_size=3, max_size=5),
+)
+ANY_COUPLINGS = st.one_of(
+    st.floats(0.0, 2.0),
+    st.sampled_from([-0.5, -0.0, 1e-300, 1e300, float("nan"), float("inf")]),
+)
+# every decade up to 1e300, so that three-digit exponents reach the CSV
+T_MAX = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1e300),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99), st.integers(-3, 299)),
+)
+
+
+@st.composite
+def config_documents(draw):
+    """A ``simulate --config`` document; three in four draw only valid values."""
+    valid = draw(st.sampled_from([True, True, True, False]))
+    model = draw(st.sampled_from(["I", "II", "III", "IV", "V", "VI"]))
+    allowed = [cli.transition_key(tr) for tr in cli.get_model(model).allowed]
+    keys = allowed if valid else TRANSITION_KEYS
+    t_max = draw(T_MAX)
+    doc = {
+        "model": model,
+        "kappas": draw(st.dictionaries(
+            st.sampled_from(keys), st.floats(0.0, 2.0) if valid else ANY_COUPLINGS, max_size=6,
+        )),
+        "t_max": t_max,
+        "steps": draw(st.integers(1, 40)) if t_max > 0 or not valid else 1,
+        "method": draw(st.sampled_from(["spectral", "rk4"])),
+        "init": draw(VALID_INITS if valid else ANY_INITS),
+    }
+    if draw(st.booleans()):
+        doc["omega"] = draw(st.lists(st.floats(0.1, 5.0), min_size=3, max_size=3))
+    drive = draw(st.sampled_from(["default", "resonant", "fields"] + ([] if valid else ["both"])))
+    if drive in ("resonant", "both"):
+        doc["resonant"] = True
+    if drive in ("fields", "both"):
+        doc["fields"] = draw(st.fixed_dictionaries({k: st.floats(0.0, 10.0) for k in keys}))
+    return doc
+
+
+class TestConfigFuzz:
+    """Every ``simulate --config`` document gets a chosen outcome, never a traceback."""
+
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(doc=config_documents(), allow_nonresonant=st.booleans())
+    def test_exit_code_and_bytes(self, tmp_path, doc, allow_nonresonant):
+        cfg_path, out = tmp_path / "fuzz.json", tmp_path / "fuzz.csv"
+        cfg_path.write_text(json.dumps(doc))
+        out.unlink(missing_ok=True)
+        argv = ["simulate", "--config", str(cfg_path), "--out", str(out)]
+        if allow_nonresonant:
+            argv.append("--allow-nonresonant")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        event(f"exit {code}")
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in stderr.getvalue()
+        if code == 0:
+            cfg = RunConfig.from_json_dict(json.loads(cfg_path.read_text()))
+            trace = run_trace(cfg, allow_nonresonant=allow_nonresonant)
+            assert out.read_bytes() == reference_csv_bytes(trace, trace_metadata(cfg))
+            event(f"t_max {'>=' if cfg.t_max >= 1e100 else '<'} 1e100, exit 0")
 
 
 def test_module_entry_point():
