@@ -178,10 +178,29 @@ def build_generators() -> GeneratorSet:
 
 
 def _commutators(gm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All commutators and anticommutators ``[g_i, g_j]``, ``{g_i, g_j}``."""
-    prod = np.einsum("iab,jbc->ijac", gm, gm)
+    """All commutators and anticommutators ``[g_i, g_j]``, ``{g_i, g_j}``.
+
+    Every product g_i g_j comes from one (60, 4) @ (4, 60) GEMM: rows are
+    (i, a), columns (j, c), and the shared index b is contracted.
+    """
+    n = len(gm)
+    rows = gm.reshape(n * 4, 4)
+    cols = gm.transpose(1, 0, 2).reshape(4, n * 4)
+    prod = (rows @ cols).reshape(n, 4, n, 4).transpose(0, 2, 1, 3)
     swapped = prod.transpose(1, 0, 2, 3)
     return prod - swapped, prod + swapped
+
+
+def _traces_against(pairs: np.ndarray, gm: np.ndarray) -> np.ndarray:
+    """Tr(pairs[i, j] g_k) for every (i, j, k), as one (n^2, 16) @ (16, n) GEMM."""
+    n = len(gm)
+    return (pairs.reshape(n * n, 16) @ gm.transpose(0, 2, 1).reshape(n, 16).T).reshape(n, n, n)
+
+
+def _expand(t: np.ndarray, gm: np.ndarray) -> np.ndarray:
+    """sum_k t[i, j, k] g_k for a real t: one real GEMM on the float view of gm."""
+    n = len(gm)
+    return (t.reshape(n * n, n) @ gm.reshape(n, 16).view(float)).view(complex).reshape(n, n, 4, 4)
 
 
 def structure_constants(g: GeneratorSet) -> StructureConstants:
@@ -193,12 +212,13 @@ def structure_constants(g: GeneratorSet) -> StructureConstants:
     """
     gm = g.matrices
     comm, acom = _commutators(gm)
-    f_full = np.einsum("ijab,kba->ijk", comm, gm) / 4.0j
-    d_full = np.einsum("ijab,kba->ijk", acom, gm) / 4.0
-    residue = max(np.abs(f_full.imag).max(), np.abs(d_full.imag).max())
+    # 4i f and 4 d: f is the imaginary part over 4, the real part is residue
+    f_tr = _traces_against(comm, gm)
+    d_tr = _traces_against(acom, gm)
+    residue = max(np.abs(f_tr.real).max(), np.abs(d_tr.imag).max()) / 4.0
     if residue > 1e-13:
         raise ValueError(f"structure-constant traces are not real (residue {residue:.2e})")
-    f, d = f_full.real.copy(), d_full.real.copy()
+    f, d = f_tr.imag / 4.0, d_tr.real / 4.0
     f[np.abs(f) <= _ZERO_TOL] = 0.0
     d[np.abs(d) <= _ZERO_TOL] = 0.0
     return StructureConstants(f=_frozen(f), d=_frozen(d))
@@ -249,11 +269,10 @@ def verify_algebra(g: GeneratorSet, s: StructureConstants) -> VerificationReport
     norm_res = float(np.abs(pair_tr - 2.0 * np.eye(n)).max())
 
     comm, acom = _commutators(gm)
-    comm_res = float(np.abs(comm - 2.0j * np.einsum("ijk,kab->ijab", s.f, gm)).max())
-    eye_term = np.einsum("ij,ab->ijab", np.eye(n), np.eye(4)).astype(complex)
-    acom_res = float(
-        np.abs(acom - eye_term - 2.0 * np.einsum("ijk,kab->ijab", s.d, gm)).max()
-    )
+    comm_res = float(np.abs(comm - 2.0j * _expand(s.f, gm)).max())
+    diag = np.arange(n)
+    acom[diag, diag] -= np.eye(4)  # the delta_ij I term
+    acom_res = float(np.abs(acom - 2.0 * _expand(s.d, gm)).max())
 
     residuals = {
         "trace": trace_res,

@@ -175,6 +175,25 @@ def rk4_solve(
     return trace, final
 
 
+_UNIT_ROUNDOFF = 2.0**-53
+# Largest phase rounding error u max|L| max|t| the spectral route accepts;
+# the RK4 norm tolerance, 1e-6, serves as the same kind of bound there.
+_PHASE_TOL = 1e-6
+
+
+def _phases(t_grid: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """exp(-i L t) for every (t, L), as cos(L t) - i sin(L t).
+
+    cos and sin go straight into the real and imaginary planes: a complex
+    exp of a purely imaginary argument costs more and gives the same values.
+    """
+    theta = np.multiply.outer(t_grid, eigenvalues)
+    phases = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=phases.real)
+    np.sin(-theta, out=phases.imag)
+    return phases
+
+
 @dataclass(frozen=True)
 class FrameSolution:
     """The rotating frame of one (model, drive) pair and its eigensystem.
@@ -191,30 +210,29 @@ class FrameSolution:
         """Level-ordered frame amplitudes of each state, one row per grid time.
 
         The grid is checked and the phases exp(-i L t) are computed once for
-        all states. Raises NumericsError when max|L| max|t| overflows, since
-        the phases would then not be finite. The eigenvalues ascend, and so
-        does the grid of every caller, so their end points give both maxima
-        without a pass over the grid.
+        all states. A non-finite grid is a ConfigurationError. The phases
+        carry an absolute rounding error of about u max|L| max|t| (u = 2^-53,
+        from the rounded product L t and from L's own backward error); above
+        1e-6 they have lost their accuracy and NumericsError names both
+        factors.
         """
         t_grid = np.asarray(t_grid, dtype=float)
         if t_grid.ndim != 1 or t_grid.size < 1:
             raise ConfigurationError("time grid must be a non-empty 1-d array")
-        t_first, t_last = float(t_grid[0]), float(t_grid[-1])
-        if not (math.isfinite(t_first) and math.isfinite(t_last)):
-            raise ConfigurationError(
-                f"time grid must be finite, got end points {t_first} and {t_last}"
-            )
-        t_abs = max(abs(t_first), abs(t_last))
+        t_abs = float(np.abs(t_grid).max())  # nan if any time is nan
+        if not math.isfinite(t_abs):
+            raise ConfigurationError(f"time grid must be finite, got max|t| = {t_abs}")
         lam = self.eigensystem.eigenvalues
         lam_abs = max(-float(lam[0]), float(lam[-1]))
-        # a finite bound on every |L t| keeps every phase finite
-        if not math.isfinite(lam_abs * t_abs):
+        budget = _UNIT_ROUNDOFF * lam_abs * t_abs
+        if not budget <= _PHASE_TOL:
             raise NumericsError(
-                f"spectral phases overflow: max|eigenvalue| = {lam_abs:.3e}"
-                f" times max|t| = {t_abs:.3e} is not finite"
+                f"spectral phases lose accuracy: 2^-53 max|eigenvalue| max|t| ="
+                f" {budget:.3e} > {_PHASE_TOL:.0e}, from max|eigenvalue| = {lam_abs:.3e}"
+                f" times max|t| = {t_abs:.3e}; shorten the grid or weaken the couplings"
             )
         t_mat = self.eigensystem.diagonalizer
-        phases = np.exp(-1j * np.outer(t_grid, self.eigensystem.eigenvalues))
+        phases = _phases(t_grid, lam)
         return [
             ((phases * (t_mat @ to_row_order(c0.amplitudes))) @ t_mat)[:, ::-1]
             for c0 in states

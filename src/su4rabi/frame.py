@@ -160,8 +160,8 @@ def resonant_drive(
     coupling: dict[Transition, float],
 ) -> DriveParams:
     """Drive with every field frequency set to its level gap E_a - E_b."""
-    energies = model.energies(omega)
-    field_freq = {
-        (a, b): float(energies[a - 1] - energies[b - 1]) for (a, b) in model.allowed
-    }
+    # Python floats: a gap that overflows becomes inf, which DriveParams
+    # rejects as a configuration error, without a RuntimeWarning
+    energies = model.energies(omega).tolist()
+    field_freq = {(a, b): energies[a - 1] - energies[b - 1] for (a, b) in model.allowed}
     return DriveParams(omega=tuple(omega), field_freq=field_freq, coupling=dict(coupling))

@@ -148,9 +148,11 @@ def spin32_couplings(kappa: float) -> dict[Transition, float]:
 
 def spin32_closed_form(kappa: float, times: np.ndarray) -> np.ndarray:
     """Populations (P1..P4, level order) from the top level, in closed form."""
-    c = np.cos(kappa * np.asarray(times, dtype=float))
-    s = np.sin(kappa * np.asarray(times, dtype=float))
-    return np.stack([s**6, 3 * c**2 * s**4, 3 * c**4 * s**2, c**6], axis=1)
+    theta = kappa * np.asarray(times, dtype=float)
+    c2 = np.cos(theta) ** 2
+    s2 = np.sin(theta) ** 2
+    # products of the squares; s**6 and c**4 would go through an element-wise pow
+    return np.stack([s2 * s2 * s2, 3 * c2 * s2 * s2, 3 * c2 * c2 * s2, c2 * c2 * c2], axis=1)
 
 
 def spin32_reduction(

@@ -16,6 +16,8 @@ from su4rabi.algebra import (
     GeneratorSet,
     StructureConstants,
     build_generators,
+    _commutators,
+    _expand,
     build_shift_operators,
     structure_constants,
     verify_algebra,
@@ -137,6 +139,33 @@ class TestStructureConstants:
         gi, gj, gk = GENS.matrix(i), GENS.matrix(j), GENS.matrix(k)
         direct = np.trace((gi @ gj + gj @ gi) @ gk) / 4.0
         assert CONSTS.d_at(i, j, k) == pytest.approx(direct.real, abs=TOL)
+
+
+class TestGemmContractions:
+    """The GEMM forms against the einsum contractions they replace."""
+
+    GM = GENS.matrices
+    PROD = np.einsum("iab,jbc->ijac", GM, GM)
+
+    def test_commutators(self):
+        comm, acom = _commutators(self.GM)
+        swapped = self.PROD.transpose(1, 0, 2, 3)
+        assert np.abs(comm - (self.PROD - swapped)).max() <= 1e-15
+        assert np.abs(acom - (self.PROD + swapped)).max() <= 1e-15
+
+    def test_structure_constants(self):
+        swapped = self.PROD.transpose(1, 0, 2, 3)
+        f = np.einsum("ijab,kba->ijk", self.PROD - swapped, self.GM) / 4.0j
+        d = np.einsum("ijab,kba->ijk", self.PROD + swapped, self.GM) / 4.0
+        assert np.abs(CONSTS.f - f.real).max() <= 1e-15
+        assert np.abs(CONSTS.d - d.real).max() <= 1e-15
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_expansion_of_any_real_tensor(self, seed):
+        t = np.random.default_rng(seed).uniform(-1.0, 1.0, (N_GENERATORS,) * 3)
+        expected = np.einsum("ijk,kab->ijab", t, self.GM)
+        assert np.abs(_expand(t, self.GM) - expected).max() <= 1e-15
 
 
 class TestShiftOperators:

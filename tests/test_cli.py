@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from su4rabi import cli, dynamics, spectral, symmetry
@@ -343,6 +343,25 @@ class TestSimulate:
         assert "max|t| = 5.000e+01" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, t_abs", [
+        (["--kappa", "41=0.7", "--t-max", "1e150"], "1.000e+150"),
+        (["--kappa", "41=0.7", "--field", "41=1", "32=1", "21=1", "--allow-nonresonant",
+          "--t-max", "1e17"], "1.000e+17"),
+    ])
+    def test_spectral_phase_limit_exits_3(self, tmp_path, capsys, flags, t_abs):
+        # grid spacing beyond 2 pi / max|eigenvalue|: the phases have no
+        # correct digit, so the populations would describe nothing
+        out = tmp_path / "late.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--model", "I", "--steps", "3", "--out", str(out)]
+                        + flags) == 3
+        err = capsys.readouterr().err
+        assert "spectral phases lose accuracy" in err
+        assert "max|eigenvalue| = " in err
+        assert f"max|t| = {t_abs}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--kappa", "41=nan", "32=0.24", "21=0.24"], "coupling for (4, 1) is not finite"),
         (["--kappa", "41=nan", "32=0.24", "21=0.24", "--method", "rk4"],
@@ -465,6 +484,16 @@ class TestReduceSu2Command:
 
     def test_nonpositive_kappa_exits_2(self):
         assert main(["reduce-su2", "--kappa", "-1"]) == 2
+
+    def test_phase_limit_exits_3(self, capsys):
+        # the eigenvalues are right to 2e-16 relative; kappa t reaches 5e201,
+        # so the phases, not the spectrum, are what fails
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["reduce-su2", "--kappa", "1e200"]) == 3
+        captured = capsys.readouterr()
+        assert "max|eigenvalue| = 3.000e+200 times max|t| = 5.000e+01" in captured.err
+        assert captured.out == ""
 
 
 class TestParserReuse:
@@ -597,6 +626,88 @@ class TestConfigFuzz:
             trace = run_trace(cfg, allow_nonresonant=allow_nonresonant)
             assert out.read_bytes() == reference_csv_bytes(trace, trace_metadata(cfg))
             event(f"t_max {'>=' if cfg.t_max >= 1e100 else '<'} 1e100, exit 0")
+
+
+def run_cli(argv):
+    """Exit code and stderr of one in-process run; argparse exits through SystemExit."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stderr.getvalue()
+
+
+NUMBERS = ["0", "1", "0.24", "-1", "1e-300", "1e17", "1e200", "1e308", "nan", "inf", "x", ""]
+ASSIGNMENTS = st.builds(
+    "{}={}".format,
+    st.sampled_from(TRANSITION_KEYS + ["14", "4", "x1", "411"]),
+    st.sampled_from(NUMBERS),
+) | st.sampled_from(["41", "=1", "41=0.7=1"])
+SIMULATE_OPTIONS = {
+    "--model": st.sampled_from(["I", "II", "III", "IV", "V", "VI", "VII"]).map(lambda v: [v]),
+    "--omega": st.lists(st.sampled_from(["1", "2.5", "0", "-1", "1e308", "nan", "x"]),
+                        min_size=2, max_size=4),
+    "--kappa": st.lists(ASSIGNMENTS, min_size=0, max_size=4),
+    "--field": st.lists(ASSIGNMENTS, min_size=0, max_size=4),
+    "--resonant": st.just([]),
+    "--init": st.sampled_from(["1", "4", "0", "5", "x", "1,0,0,0,0,0,0,0",
+                               "0.6,0,0,0.8,0,0,0,0", "1,0", "nan,0,1,0,0,0,0,0"]).map(lambda v: [v]),
+    "--t-max": st.sampled_from(["0", "1", "50", "-1", "nan", "inf", "1e17", "1e150", "x"]).map(
+        lambda v: [v]),
+    "--steps": st.sampled_from(["1", "2", "3", "40", "0", "-3", "1.5", "x"]).map(lambda v: [v]),
+    "--method": st.sampled_from(["spectral", "rk4", "euler"]).map(lambda v: [v]),
+    "--allow-nonresonant": st.just([]),
+    "--show-frame": st.just([]),
+    "--config": st.sampled_from(["valid.json", "missing.json", "broken.json"]).map(lambda v: [v]),
+}
+
+
+@st.composite
+def argument_vectors(draw):
+    """An argv for one of the five subcommands; every size stays small."""
+    command = draw(st.sampled_from(["verify", "simulate", "figure", "symmetry", "reduce-su2"]))
+    argv = [command]
+    if command == "verify":
+        argv += draw(st.sampled_from([[], ["--inject-fault", "scale-lambda1"],
+                                      ["--inject-fault", "other"]]))
+    elif command == "simulate":
+        flags = draw(st.lists(st.sampled_from(sorted(SIMULATE_OPTIONS)), unique=True))
+        if "--model" not in flags and draw(st.integers(0, 3)):  # most runs name a model
+            flags.insert(0, "--model")
+        for flag in flags:
+            argv += [flag, *draw(SIMULATE_OPTIONS[flag])]
+    elif command == "figure":
+        argv += draw(st.sampled_from([["7"], ["12"], ["6"], ["13"], ["x"], []]))
+    elif command == "symmetry":
+        argv += draw(st.sampled_from([["I:VI"], ["II:V"], ["III"], ["IV"], ["I:II"], ["V"], []]))
+    else:
+        argv += draw(st.sampled_from([[]] + [["--kappa", v] for v in NUMBERS]))
+    argv += draw(st.sampled_from([[]] * 6 + [["--bogus"], ["extra"]]))
+    return argv
+
+
+class TestArgvFuzz:
+    """Every argument vector gets a chosen exit code, never a traceback."""
+
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(argv=argument_vectors())
+    # a level gap that overflows once raised a RuntimeWarning in resonant_drive
+    @example(argv=["simulate", "--model", "I", "--omega", "1", "1", "1e308"])
+    def test_exit_code_without_traceback(self, tmp_path, monkeypatch, argv):
+        monkeypatch.setenv("SU4RABI_OUTDIR", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "valid.json").write_text(
+            '{"model": "I", "kappas": {"41": 0.7}, "t_max": 5, "steps": 11}')
+        (tmp_path / "broken.json").write_text('{"model": ')
+        code, stderr = run_cli(argv)
+        event(f"exit {code}")
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in stderr
 
 
 def test_module_entry_point():

@@ -13,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su4rabi.dynamics import (
+    _PHASE_TOL,
+    _UNIT_ROUNDOFF,
+    _phases,
     _rk4_step_matrices,
     rk4_solve,
     schrodinger_rhs,
@@ -335,25 +338,72 @@ class TestFrameSolution:
         drive = resonant_drive(MODEL_I, OMEGA, {(4, 1): 1e308, (3, 2): 0.24, (2, 1): 0.24})
         solution = solve_frame(MODEL_I, drive)
         state = [StateVector.basis(1)]
-        # |L| t stays finite up to t = 1, so these phases are all finite
-        (amps,) = solution.amplitudes(state, np.array([0.0, 1.0]))
+        # 2^-53 * 1e308 * 1e-300 = 1.1e-8 is below the phase limit
+        (amps,) = solution.amplitudes(state, np.array([0.0, 1e-300]))
         assert np.all(np.isfinite(amps))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericsError, match=r"1\.000e\+308 times max\|t\| = 2\.000e\+00"):
                 solution.amplitudes(state, np.array([0.0, 2.0]))
 
+    def test_phase_limit_is_two_sided(self):
+        # the limit sits where 2^-53 max|L| max|t| reaches 1e-6, on both sides
+        solution = solve_frame(MODEL_I, CHAIN_DRIVE)
+        lam_abs = float(np.abs(solution.eigensystem.eigenvalues).max())
+        t_limit = _PHASE_TOL / (_UNIT_ROUNDOFF * lam_abs)
+        state = [StateVector.basis(1)]
+        (amps,) = solution.amplitudes(state, np.array([0.0, 0.999 * t_limit]))
+        assert np.all(np.isfinite(amps))
+        with pytest.raises(NumericsError, match="lose accuracy") as exc:
+            solution.amplitudes(state, np.array([0.0, 1.001 * t_limit]))
+        assert f"max|eigenvalue| = {lam_abs:.3e}" in str(exc.value)
+        assert f"max|t| = {1.001 * t_limit:.3e}" in str(exc.value)
+
+    def test_phase_limit_reads_the_whole_grid(self):
+        # a large time between small end points still counts, and so does a
+        # negative one
+        solution = solve_frame(MODEL_I, CHAIN_DRIVE)
+        for grid in ([0.0, 1e17, 1.0], [0.0, -1e17, 1.0]):
+            with pytest.raises(NumericsError, match=r"max\|t\| = 1\.000e\+17"):
+                solution.amplitudes([StateVector.basis(1)], np.array(grid))
+
     def test_rejects_non_finite_grid(self):
         solution = solve_frame(MODEL_I, CHAIN_DRIVE)
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ConfigurationError, match="finite"):
-                solution.amplitudes([StateVector.basis(1)], np.array([0.0, bad]))
+        for bad in (np.nan, np.inf, -np.inf):
+            for grid in ([0.0, bad], [0.0, bad, 1.0], [bad, 0.0]):
+                with pytest.raises(ConfigurationError, match="finite"):
+                    solution.amplitudes([StateVector.basis(1)], np.array(grid))
 
     def test_rejects_bad_grid(self):
         solution = solve_frame(MODEL_I, CHAIN_DRIVE)
         for grid in (np.array([]), np.zeros((2, 2))):
             with pytest.raises(ConfigurationError, match="non-empty 1-d"):
                 solution.amplitudes([StateVector.basis(1)], grid)
+
+
+# largest max|L| max|t| that FrameSolution.amplitudes accepts
+PHASE_LIMIT = _PHASE_TOL / _UNIT_ROUNDOFF
+
+
+def within_one_ulp(a, b):
+    return bool(np.all(np.abs(a - b) <= np.spacing(np.maximum(np.abs(a), np.abs(b)))))
+
+
+class TestPhases:
+    @given(
+        st.lists(st.floats(-1e3, 1e3) | st.just(-0.0), min_size=1, max_size=4),
+        st.lists(st.floats(-PHASE_LIMIT, PHASE_LIMIT) | st.just(-0.0), min_size=1, max_size=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_match_complex_exp_within_one_ulp(self, lam, t):
+        lam, t = np.array(lam), np.array(t)
+        # scale the times so that max|L t| stays within the limit
+        t /= max(1.0, float(np.abs(lam).max() * np.abs(t).max()) / PHASE_LIMIT)
+        reference = np.exp(-1j * np.outer(t, lam))
+        phases = _phases(t, lam)
+        assert phases.shape == reference.shape
+        assert within_one_ulp(phases.real, reference.real)
+        assert within_one_ulp(phases.imag, reference.imag)
 
 
 class TestBackendParity:

@@ -190,11 +190,19 @@ class TestSpin32:
         assert pops[0] == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-15)
         assert pops[1] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
 
-    @given(st.floats(0.01, 2.0), st.floats(0.0, 50.0))
+    @given(st.floats(0.01, 2.0), st.lists(st.floats(0.0, 50.0), min_size=1, max_size=50))
     @settings(max_examples=200, deadline=None)
     def test_closed_form_rows_sum_to_one(self, kappa, t):
-        pops = spin32_closed_form(kappa, np.array([t]))
-        assert float(pops.sum()) == pytest.approx(1.0, abs=1e-12)
+        pops = spin32_closed_form(kappa, np.array(t))
+        assert np.abs(pops.sum(axis=1) - 1.0).max() <= 1e-15
+
+    @given(st.floats(0.01, 2.0), st.lists(st.floats(0.0, 50.0), min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_matches_powers(self, kappa, t):
+        c = np.cos(kappa * np.array(t))
+        s = np.sin(kappa * np.array(t))
+        powers = np.stack([s**6, 3 * c**2 * s**4, 3 * c**4 * s**2, c**6], axis=1)
+        assert np.abs(spin32_closed_form(kappa, np.array(t)) - powers).max() <= 1e-15
 
     def test_reduction_matches_closed_form(self):
         _, deviation, _ = spin32_reduction(0.24, np.linspace(0.0, 30.0, 3001))
