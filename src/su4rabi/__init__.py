@@ -50,7 +50,6 @@ from .spectral import (
     jacobi_eigh,
 )
 from .symmetry import (
-    InversionMap,
     check_inversion,
     inversion_partner,
     invert_drive,
@@ -65,7 +64,6 @@ __all__ = [
     "EigenSystem",
     "FrameSolution",
     "GeneratorSet",
-    "InversionMap",
     "ModelConfig",
     "ModelId",
     "NumericsError",

@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -92,14 +93,16 @@ def transition_key(tr: Transition) -> str:
     return f"{tr[0]}{tr[1]}"
 
 
-def _parse_assignments(tokens: list[str], what: str) -> dict[Transition, float]:
-    out: dict[Transition, float] = {}
+def _parse_assignments(tokens: list[str], what: str) -> dict[str, float]:
+    """KEY=VALUE flag tokens as config entries; a bad key or value names the flag."""
+    out: dict[str, float] = {}
     for token in tokens:
         key, sep, value = token.partition("=")
         if not sep:
             raise ConfigurationError(f"bad {what} entry {token!r}; expected KEY=VALUE")
         try:
-            out[parse_transition_key(key)] = float(value)
+            parse_transition_key(key)  # its ConfigurationError is a ValueError
+            out[key] = float(value)
         except ValueError as exc:
             raise ConfigurationError(f"bad {what} value in {token!r}") from exc
     return out
@@ -419,42 +422,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 data = json.load(fh)
             except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
                 raise ConfigurationError(f"config {args.config} is not valid JSON: {exc}") from exc
-        cfg = RunConfig.from_json_dict(data)
     else:
+        # the config document the flags stand for; errors found here name the flag
         if args.model is None:
             raise ConfigurationError("either --config or --model is required")
         if args.resonant and args.field:
             raise ConfigurationError("--resonant and --field are mutually exclusive")
-        init: int | tuple[tuple[float, float], ...]
-        if "," in args.init:
-            try:
-                parts = [float(x) for x in args.init.split(",")]
-            except ValueError as exc:
-                raise ConfigurationError(f"bad --init value {args.init!r}") from exc
-            if len(parts) != 8:
+        try:
+            init = [float(x) for x in args.init.split(",")] if "," in args.init else int(args.init)
+        except ValueError as exc:
+            raise ConfigurationError(f"bad --init value {args.init!r}") from exc
+        if isinstance(init, list):
+            if len(init) != 8:
                 raise ConfigurationError(
                     "--init amplitudes need 8 comma-separated numbers (re,im x 4)"
                 )
-            init = tuple((parts[2 * i], parts[2 * i + 1]) for i in range(4))
-        else:
-            try:
-                init = int(args.init)
-            except ValueError as exc:
-                raise ConfigurationError(f"bad --init value {args.init!r}") from exc
-        try:
-            model_id = ModelId(args.model)
-        except ValueError as exc:
-            raise ConfigurationError(f"unknown model {args.model!r}") from exc
-        cfg = RunConfig(
-            model=model_id,
-            omega=tuple(args.omega),  # type: ignore[arg-type]
-            kappas=_parse_assignments(args.kappa or [], "--kappa"),
-            fields=_parse_assignments(args.field, "--field") if args.field else None,
-            init=init,
-            t_max=args.t_max,
-            steps=args.steps,
-            method=args.method,
-        )
+            init = [init[i : i + 2] for i in range(0, 8, 2)]
+        data = dict(model=args.model, omega=args.omega, init=init, t_max=args.t_max,
+                    steps=args.steps, method=args.method,
+                    kappas=_parse_assignments(args.kappa or [], "--kappa"))
+        if args.field:
+            data["fields"] = _parse_assignments(args.field, "--field")
+    cfg = RunConfig.from_json_dict(data)
     if args.show_frame:
         fr = rotate(get_model(cfg.model), build_drive(cfg))
         for tr, value in sorted(fr.detunings.items(), reverse=True):
@@ -507,7 +496,7 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
             f"unknown pair {args.pair!r}; choose from {sorted(SYMMETRY_PAIRS)}"
         )
     source = get_model(SYMMETRY_PAIRS[args.pair])
-    partner = inversion_partner(source.id).target
+    partner = inversion_partner(source.id)
     coupling = {tr: STANDARD_COUPLINGS[tr] for tr in source.allowed}
     drive = resonant_drive(source, DEFAULT_OMEGA, coupling)
     t_grid = np.linspace(0.0, DEFAULT_T_MAX, 2001)
@@ -537,7 +526,14 @@ def cmd_reduce_su2(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# argparse takes "-1e3" or "-inf" for an unknown option, not a negative number;
+# these parsers read every token that starts like a negative float as a value
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; building it costs far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="su4rabi",
         description="Exact Rabi dynamics of the six four-level configurations",
@@ -549,6 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="integrate one configuration, write a CSV trace")
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("--config", help="JSON config file; replaces the other flags")
     p.add_argument("--model", choices=[m.value for m in ModelId], help="configuration id")
     p.add_argument("--omega", type=float, nargs=3, default=DEFAULT_OMEGA,
@@ -582,15 +579,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_symmetry)
 
     p = sub.add_parser("reduce-su2", help="spin-3/2 reduction of the ladder configuration")
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("--kappa", type=float, default=0.24, help="base coupling (default 0.24)")
     p.set_defaults(func=cmd_reduce_su2)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use; building it costs far more than a parse."""
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -65,19 +65,19 @@ def schrodinger_rhs(
     return to_level_order(-1j * (hamiltonian_t(model, drive, t) @ c_rows))
 
 
-def _validate_grid(t_grid: np.ndarray) -> tuple[float, float, int]:
-    """Return (t0, h, n_steps) for a uniform strictly increasing grid."""
+def _check_grid(t_grid) -> tuple[np.ndarray, float]:
+    """The grid as a float array and its max|t|.
+
+    Both routes call this: a grid that is not a non-empty 1-d array of
+    finite times is a ConfigurationError.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ConfigurationError("time grid must be a non-empty 1-d array")
-    if t_grid.size == 1:
-        return float(t_grid[0]), 0.0, 0
-    spacings = np.diff(t_grid)
-    if np.any(spacings <= 0):
-        raise ConfigurationError("time grid must be strictly increasing")
-    h = float(spacings[0])
-    if float(np.abs(spacings - h).max()) > 1e-9 * max(1.0, abs(h)):
-        raise ConfigurationError("time grid must be uniform for fixed-step RK4")
-    return float(t_grid[0]), h, t_grid.size - 1
+    t_abs = float(np.abs(t_grid).max())  # nan if any time is nan
+    if not math.isfinite(t_abs):
+        raise ConfigurationError(f"time grid must be finite, got max|t| = {t_abs}")
+    return t_grid, t_abs
 
 
 def _rk4_step_matrices(
@@ -139,14 +139,21 @@ def rk4_solve(
     Records populations at every grid point. The step matrices use only
     samples of the lab-frame H(t), never the rotating frame. Each block of
     up to 4096 steps is built from one batch of H(t) samples and marched as
-    a two-level prefix product of its step maps (``_march``). Raises
-    NumericsError when the state leaves the finite range or its final norm
-    drifts from 1 by more than 1e-6 (the step size was far too coarse for
-    the couplings involved).
+    a two-level prefix product of its step maps (``_march``). A grid that
+    is non-finite, not strictly increasing or not uniform is a
+    ConfigurationError. Raises NumericsError when the state leaves the
+    finite range or its final norm drifts from 1 by more than 1e-6 (the
+    step size was far too coarse for the couplings involved).
     """
     drive.validate_for(model)
-    t_grid = np.asarray(t_grid, dtype=float)
-    t0, h, n_steps = _validate_grid(t_grid)
+    t_grid, _ = _check_grid(t_grid)
+    spacings = np.diff(t_grid)
+    t0, n_steps = float(t_grid[0]), spacings.size
+    h = float(spacings[0]) if n_steps else 0.0
+    if np.any(spacings <= 0):
+        raise ConfigurationError("time grid must be strictly increasing")
+    if np.any(np.abs(spacings - h) > 1e-9 * max(1.0, abs(h))):
+        raise ConfigurationError("time grid must be uniform for fixed-step RK4")
 
     states = np.empty((n_steps + 1, 4), dtype=complex)
     states[0] = to_row_order(c0.amplitudes)
@@ -216,12 +223,7 @@ class FrameSolution:
         1e-6 they have lost their accuracy and NumericsError names both
         factors.
         """
-        t_grid = np.asarray(t_grid, dtype=float)
-        if t_grid.ndim != 1 or t_grid.size < 1:
-            raise ConfigurationError("time grid must be a non-empty 1-d array")
-        t_abs = float(np.abs(t_grid).max())  # nan if any time is nan
-        if not math.isfinite(t_abs):
-            raise ConfigurationError(f"time grid must be finite, got max|t| = {t_abs}")
+        t_grid, t_abs = _check_grid(t_grid)
         lam = self.eigensystem.eigenvalues
         lam_abs = max(-float(lam[0]), float(lam[-1]))
         budget = _UNIT_ROUNDOFF * lam_abs * t_abs

@@ -24,6 +24,7 @@ transition at resonance (w_ab = E_a - E_b) zeroes the whole diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -61,8 +62,8 @@ class RotatingFrame:
     def max_detuning(self) -> float:
         return max(abs(v) for v in self.detunings.values())
 
-    def is_resonant(self, tol: float = RESONANCE_TOL) -> bool:
-        return self.max_detuning() < tol
+    def is_resonant(self) -> bool:
+        return self.max_detuning() < RESONANCE_TOL
 
 
 def frame_generator(model: ModelConfig, drive: DriveParams) -> np.ndarray:
@@ -160,8 +161,13 @@ def resonant_drive(
     coupling: dict[Transition, float],
 ) -> DriveParams:
     """Drive with every field frequency set to its level gap E_a - E_b."""
-    # Python floats: a gap that overflows becomes inf, which DriveParams
-    # rejects as a configuration error, without a RuntimeWarning
+    # Python floats: a gap that overflows becomes inf without a RuntimeWarning.
+    # It is reported under omega, the input; DriveParams names a non-finite w_i.
     energies = model.energies(omega).tolist()
     field_freq = {(a, b): energies[a - 1] - energies[b - 1] for (a, b) in model.allowed}
+    overflow = [tr for tr, gap in field_freq.items() if not math.isfinite(gap)]
+    if overflow and all(math.isfinite(w) for w in omega):
+        raise ConfigurationError(
+            f"omega {' '.join(map(str, omega))} overflows the level gap of {overflow[0]}"
+        )
     return DriveParams(omega=tuple(omega), field_freq=field_freq, coupling=dict(coupling))

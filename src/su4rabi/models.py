@@ -267,12 +267,9 @@ class PopulationTrace:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "populations", pops)
 
-    def norm_errors(self) -> np.ndarray:
-        """Per-row deviation of the population sum from 1."""
-        return np.abs(1.0 - self.populations.sum(axis=1))
-
     def max_norm_error(self) -> float:
-        return float(self.norm_errors().max())
+        """Largest deviation of a row's population sum from 1."""
+        return float(np.abs(1.0 - self.populations.sum(axis=1)).max())
 
 
 __all__ = [

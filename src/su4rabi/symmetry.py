@@ -19,7 +19,6 @@ the populations follow the binomial closed form
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,19 +61,13 @@ def map_transition(tr: Transition) -> Transition:
     return (5 - b, 5 - a)
 
 
-@dataclass(frozen=True)
-class InversionMap:
-    source: ModelId
-    target: ModelId
-
-
-def inversion_partner(mid: ModelId | str) -> InversionMap:
-    """Find the configuration whose allowed set is the flipped one."""
+def inversion_partner(mid: ModelId | str) -> ModelId:
+    """The configuration whose allowed set is the flipped one."""
     source = get_model(mid)
     image = frozenset(map_transition(tr) for tr in source.allowed)
     for candidate in catalog():
         if candidate.allowed == image:
-            return InversionMap(source=source.id, target=candidate.id)
+            return candidate.id
     raise ConfigurationError(
         f"no catalog entry matches the inverted transitions of model {source.id}"
     )
@@ -92,7 +85,7 @@ def invert_drive(
     simply resonant.
     """
     drive.validate_for(model)
-    partner = get_model(inversion_partner(model.id).target)
+    partner = get_model(inversion_partner(model.id))
     src_energies = model.energies(drive.omega)
     dst_energies = partner.energies(drive.omega)
     field_freq: dict[Transition, float] = {}
@@ -143,6 +136,10 @@ def spin32_couplings(kappa: float) -> dict[Transition, float]:
     """Equidistant-ladder couplings that realize 2*kappa*Jx on model III."""
     if kappa <= 0:
         raise ConfigurationError("kappa must be positive")
+    if not math.isfinite(2.0 * kappa):  # the largest coupling; nan too
+        raise ConfigurationError(
+            f"kappa = {kappa} gives a non-finite coupling 2 kappa = {2.0 * kappa}"
+        )
     return {(4, 3): math.sqrt(3.0) * kappa, (3, 2): 2.0 * kappa, (2, 1): math.sqrt(3.0) * kappa}
 
 
@@ -156,9 +153,7 @@ def spin32_closed_form(kappa: float, times: np.ndarray) -> np.ndarray:
 
 
 def spin32_reduction(
-    kappa: float,
-    t_grid,
-    omega: tuple[float, float, float] = (1.0, 2.0, 3.0),
+    kappa: float, t_grid
 ) -> tuple[PopulationTrace, float, FrameSolution]:
     """Run the reduction from the top level.
 
@@ -166,7 +161,8 @@ def spin32_reduction(
     solved frame it was evaluated from (its eigenvalues are the ladder).
     """
     model = get_model(ModelId.III)
-    drive = resonant_drive(model, omega, spin32_couplings(kappa))
+    # at resonance the frame matrix is the couplings alone, for any splittings
+    drive = resonant_drive(model, (1.0, 2.0, 3.0), spin32_couplings(kappa))
     solution = solve_frame(model, drive)
     (amps,) = solution.amplitudes([StateVector.basis(4)], t_grid)
     trace = PopulationTrace(times=t_grid, populations=np.abs(amps) ** 2)
@@ -176,8 +172,8 @@ def spin32_reduction(
     return trace, deviation, solution
 
 
-def spin32_frame_matrix(kappa: float, omega=(1.0, 2.0, 3.0)) -> np.ndarray:
+def spin32_frame_matrix(kappa: float) -> np.ndarray:
     """The resonant frame matrix of the reduction (tridiagonal, 2*kappa*Jx)."""
     model = get_model(ModelId.III)
-    drive = resonant_drive(model, omega, spin32_couplings(kappa))
+    drive = resonant_drive(model, (1.0, 2.0, 3.0), spin32_couplings(kappa))
     return rotate(model, drive).h_tilde

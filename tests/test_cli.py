@@ -373,12 +373,26 @@ class TestSimulate:
         (["--kappa", "41=0.7", "--init", "nan,0,1,0,0,0,0,0"], "have norm nan"),
         (["--kappa", "41=0.7", "--t-max", "inf"], "t_max must be finite"),
         (["--kappa", "41=0.7", "--init", "1,a,0,0,0,0,0,0"], "bad --init value"),
+        # argparse alone reads "-inf" and "-1e3" as unknown options
+        (["--kappa", "41=0.7", "--t-max", "-inf"], "t_max must be finite"),
+        (["--kappa", "41=0.7", "--t-max", "-1e3"], "t_max must be non-negative"),
+        # the field frequencies overflow, but the input that caused it is omega
+        (["--kappa", "41=0.7", "--omega", "1", "1", "1e308"],
+         "omega 1.0 1.0 1e+308 overflows the level gap"),
     ])
     def test_non_finite_input_exits_2(self, tmp_path, capsys, flags, message):
         argv = ["simulate", "--model", "I", "--t-max", "1", "--steps", "11"] + flags
         assert main(argv + ["--out", str(tmp_path / "nf.csv")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "nf.csv").exists()
+
+    def test_negative_exponent_form_parses_as_number(self):
+        # argparse alone reads a token like "-1e3" as an unknown option
+        argv = ["simulate", "--model", "I", "--omega", "1", "-1e3", "2",
+                "--init", "-1,0,0,0,0,0,0,0"]
+        args = cli._parser().parse_args(argv)
+        assert args.omega == [1.0, -1000.0, 2.0]
+        assert args.init == "-1,0,0,0,0,0,0,0"
 
     @pytest.mark.parametrize("text", [
         '{"model": "I", ',
@@ -484,6 +498,15 @@ class TestReduceSu2Command:
 
     def test_nonpositive_kappa_exits_2(self):
         assert main(["reduce-su2", "--kappa", "-1"]) == 2
+
+    def test_overflowing_kappa_names_kappa(self, capsys):
+        # the coupling 2 kappa overflows; the message names the input
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["reduce-su2", "--kappa", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert "kappa = 1e+308 gives a non-finite coupling 2 kappa = inf" in captured.err
+        assert captured.out == ""
 
     def test_phase_limit_exits_3(self, capsys):
         # the eigenvalues are right to 2e-16 relative; kappa t reaches 5e201,
@@ -600,8 +623,31 @@ def config_documents(draw):
     return doc
 
 
+def flag_vector(doc):
+    """The ``simulate`` flags that spell a config document, or None if none do."""
+    if isinstance(doc["init"], str):
+        return None  # no flag spelling: "--init 1" is the level, not a string
+    init = doc["init"]
+    argv = [
+        "simulate", "--model", doc["model"], "--t-max", repr(doc["t_max"]),
+        "--steps", str(doc["steps"]), "--method", doc["method"],
+        "--init", ",".join(repr(x) for pair in init for x in pair)
+        if isinstance(init, list) else str(init),
+    ]
+    if "omega" in doc:
+        argv += ["--omega", *map(repr, doc["omega"])]
+    if doc["kappas"]:
+        argv += ["--kappa", *(f"{k}={v!r}" for k, v in doc["kappas"].items())]
+    if doc.get("resonant"):
+        argv.append("--resonant")
+    if "fields" in doc:
+        argv += ["--field", *(f"{k}={v!r}" for k, v in doc["fields"].items())]
+    return argv
+
+
 class TestConfigFuzz:
-    """Every ``simulate --config`` document gets a chosen outcome, never a traceback."""
+    """Every ``simulate --config`` document gets a chosen outcome, never a
+    traceback, and the same outcome and bytes as its flag spelling."""
 
     @settings(
         max_examples=150, deadline=None,
@@ -626,6 +672,17 @@ class TestConfigFuzz:
             trace = run_trace(cfg, allow_nonresonant=allow_nonresonant)
             assert out.read_bytes() == reference_csv_bytes(trace, trace_metadata(cfg))
             event(f"t_max {'>=' if cfg.t_max >= 1e100 else '<'} 1e100, exit 0")
+
+        flags = flag_vector(doc)
+        if flags is None:
+            return
+        flag_out = tmp_path / "fuzz_flags.csv"
+        flag_out.unlink(missing_ok=True)
+        flags += ["--out", str(flag_out)] + (["--allow-nonresonant"] if allow_nonresonant else [])
+        flag_code, flag_stderr = run_cli(flags)
+        assert flag_code == code, flag_stderr
+        if code == 0:
+            assert flag_out.read_bytes() == out.read_bytes()
 
 
 def run_cli(argv):

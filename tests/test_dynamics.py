@@ -389,6 +389,15 @@ def within_one_ulp(a, b):
     return bool(np.all(np.abs(a - b) <= np.spacing(np.maximum(np.abs(a), np.abs(b)))))
 
 
+@pytest.mark.parametrize("grid", [[0.0, np.nan], [0.0, np.inf], [0.0, 1.0, np.nan]])
+@pytest.mark.parametrize("route", [rk4_solve, trace_via_spectral])
+def test_both_routes_refuse_non_finite_grid(route, grid):
+    # one grid check serves both routes: a non-finite time is a
+    # configuration error before any step or phase is computed
+    with pytest.raises(ConfigurationError, match="finite"):
+        route(MODEL_I, CHAIN_DRIVE, StateVector.basis(1), np.array(grid))
+
+
 class TestPhases:
     @given(
         st.lists(st.floats(-1e3, 1e3) | st.just(-0.0), min_size=1, max_size=4),
@@ -406,8 +415,8 @@ class TestPhases:
         assert within_one_ulp(phases.imag, reference.imag)
 
 
-class TestBackendParity:
-    def test_pure_python_twin_matches_active_backend(self):
+class TestScalarReference:
+    def test_scalar_rhs_rk4_matches_step_matrix_march(self):
         # A step-by-step scalar RK4 march on schrodinger_rhs is the
         # reference for the step-matrix march. Over 10**4 steps the two
         # differ by rounding only: 7.3e-13 in populations, 3.8e-13 in the

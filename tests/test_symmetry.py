@@ -58,13 +58,11 @@ class TestLadderFlip:
 
     def test_partners_match_expected_table(self):
         for mid in ALL_IDS:
-            inv = inversion_partner(mid)
-            assert inv.target == EXPECTED_PARTNERS[inv.source]
+            assert inversion_partner(mid) == EXPECTED_PARTNERS[ModelId(mid)]
 
     def test_partnering_is_an_involution(self):
         for mid in ALL_IDS:
-            once = inversion_partner(mid).target
-            assert inversion_partner(once).target == ModelId(mid)
+            assert inversion_partner(inversion_partner(mid)) == ModelId(mid)
 
 
 class TestInvertDrive:
