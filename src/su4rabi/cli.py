@@ -108,6 +108,30 @@ def _parse_assignments(tokens: list[str], what: str) -> dict[str, float]:
     return out
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float; any other value is a ConfigurationError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{name} = {value} overflows a float") from None
+
+
+def _numbers(values, name: str, length: int) -> list[float]:
+    """A JSON array of ``length`` numbers as floats."""
+    if not isinstance(values, (list, tuple)) or len(values) != length:
+        raise ConfigurationError(f"{name} must list {length} numbers, got {values!r}")
+    return [_number(v, f"{name}[{i}]") for i, v in enumerate(values)]
+
+
+def _number_map(values, name: str) -> dict[Transition, float]:
+    """A JSON object from transition keys to numbers."""
+    if not isinstance(values, dict):
+        raise ConfigurationError(f"{name} must map transitions to numbers, got {values!r}")
+    return {parse_transition_key(k): _number(v, f"{name}[{k!r}]") for k, v in values.items()}
+
+
 @dataclass
 class RunConfig:
     """One simulate run; serializes to/from the JSON config format."""
@@ -168,29 +192,24 @@ class RunConfig:
             model = ModelId(data["model"])
         except ValueError as exc:
             raise ConfigurationError(f"unknown model {data['model']!r}") from exc
-        try:
-            omega = tuple(float(x) for x in data.get("omega", DEFAULT_OMEGA))
-            if len(omega) != 3:
-                raise ConfigurationError("omega must hold exactly three values")
-            kappas = {parse_transition_key(k): float(v) for k, v in data.get("kappas", {}).items()}
-            if data.get("resonant") and "fields" in data:
-                raise ConfigurationError("config sets both 'resonant' and 'fields'")
-            fields = None
-            if "fields" in data:
-                fields = {parse_transition_key(k): float(v) for k, v in data["fields"].items()}
-            init_raw = data.get("init", 1)
-            init: int | tuple[tuple[float, float], ...]
-            if isinstance(init_raw, int) and not isinstance(init_raw, bool):
-                init = init_raw
-            else:
-                if len(init_raw) != 4:
-                    raise ConfigurationError("amplitude init must list four [re, im] pairs")
-                init = tuple((float(p[0]), float(p[1])) for p in init_raw)
-            t_max = float(data.get("t_max", DEFAULT_T_MAX))
-        except ConfigurationError:
-            raise
-        except (AttributeError, IndexError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed config value: {exc}") from exc
+        omega = tuple(_numbers(data.get("omega", DEFAULT_OMEGA), "omega", 3))
+        kappas = _number_map(data.get("kappas", {}), "kappas")
+        if data.get("resonant") and "fields" in data:
+            raise ConfigurationError("config sets both 'resonant' and 'fields'")
+        fields = _number_map(data["fields"], "fields") if "fields" in data else None
+        init_raw = data.get("init", 1)
+        init: int | tuple[tuple[float, float], ...]
+        if isinstance(init_raw, int) and not isinstance(init_raw, bool):
+            init = init_raw
+        else:
+            if not isinstance(init_raw, (list, tuple)) or len(init_raw) != 4:
+                raise ConfigurationError(
+                    f"init must be a level or four [re, im] pairs, got {init_raw!r}"
+                )
+            init = tuple(
+                tuple(_numbers(p, f"init[{i}]", 2)) for i, p in enumerate(init_raw)
+            )  # type: ignore[assignment]
+        t_max = _number(data.get("t_max", DEFAULT_T_MAX), "t_max")
         return cls(
             model=model,
             omega=omega,  # type: ignore[arg-type]

@@ -14,13 +14,25 @@ resulting ``FrameSolution`` evaluates any number of initial states on a
 grid from one matrix of phases. ``trace_via_spectral`` is the one-state
 shorthand.
 
-The RK4 march is linear, c_{n+1} = M_n c_n, so it runs as a prefix product
-of the step maps M_n rather than one array call per step. Within each block
-of steps the maps are split into about sqrt(m) groups of b = isqrt(m)
-steps. b - 1 batched products form every group's running products at once,
-a short loop carries the state from one group start to the next, and one
+The RK4 route runs in real arithmetic. A complex 4-vector x + i y is the
+real 8-vector [x; y], on which -i H acts as the real 8x8 block
+[[Im H, Re H], [-Re H, Im H]]. The lab-frame Hamiltonian comes from one
+generator table (``models.hamiltonian_table``), H(t) = E + sum_ab kappa_ab
+(cos(w_ab t) X_ab + sin(w_ab t) Y_ab); its seven generators become real
+8x8 blocks once per call, and one (3n, 7) @ (7, 64) GEMM of the weights
+[1, kappa cos(w t), kappa sin(w t)] samples -i H at the three stage times of
+n steps. Each sampled entry is one nonzero product, so the samples equal the
+blocks of ``-1j * hamiltonian_t`` exactly. The stages K1..K4 and the step
+maps M_n are real batched products.
+
+The march is linear, x_{n+1} = M_n x_n, so it runs as a prefix product of
+the step maps rather than one array call per step. Within each block of
+steps the maps are split into about sqrt(m) groups of b = isqrt(m) steps.
+b - 1 batched products form every group's running products at once, a
+short loop carries the state from one group start to the next, and one
 batched product gives every state. The work stays O(m) matrix products,
-and the Python-level calls drop from m to about 2 sqrt(m).
+and the Python-level calls drop from m to about 2 sqrt(m). The
+populations are x^2 + y^2.
 """
 
 from __future__ import annotations
@@ -35,10 +47,12 @@ from .errors import ConfigurationError, NumericsError
 from .frame import RESONANCE_TOL, RotatingFrame, rotate
 from .models import (
     DriveParams,
+    HamiltonianTable,
     ModelConfig,
     PopulationTrace,
     StateVector,
     hamiltonian_t,
+    hamiltonian_table,
     to_level_order,
     to_row_order,
 )
@@ -80,27 +94,58 @@ def _check_grid(t_grid) -> tuple[np.ndarray, float]:
     return t_grid, t_abs
 
 
-def _rk4_step_matrices(
-    model: ModelConfig, drive: DriveParams, times: np.ndarray, h: float
-) -> np.ndarray:
-    """Classic RK4 step maps M_n, c_{n+1} = M_n c_n, for steps starting at ``times``.
+def _sample_generator(table: HamiltonianTable, times: np.ndarray) -> np.ndarray:
+    """-i H(t) as real 8x8 blocks at every time, shape ``times.shape + (8, 8)``.
 
-    For the linear equation dC/dt = A(t) C in row order, A = -i H(t), the
-    four stages are matrices:
-    K1 = A(t), K2 = A(t + h/2)(I + h/2 K1), K3 = A(t + h/2)(I + h/2 K2),
-    K4 = A(t + h)(I + h K3), and M = I + h/6 (K1 + 2 K2 + 2 K3 + K4).
-    H(t) is sampled once, at the three stage times of every step.
+    A complex 4-vector x + i y is the real 8-vector [x; y], on which -i G
+    acts as [[Im G, Re G], [-Re G, Im G]]. The seven generators become such
+    blocks, and one (len, 7) @ (7, 64) GEMM with the table's coefficients
+    samples every time. Each entry holds one nonzero product, so the blocks
+    equal those of ``-1j * hamiltonian_t`` exactly.
+    """
+    re, im = table.generators.real, table.generators.imag
+    blocks = np.empty((len(re), 8, 8))
+    blocks[:, :4, :4] = blocks[:, 4:, 4:] = im
+    blocks[:, :4, 4:] = re
+    np.negative(re, out=blocks[:, 4:, :4])
+    samples = table.coefficients(times.reshape(-1)).T @ blocks.reshape(-1, 64)
+    return samples.reshape(times.shape + (8, 8))
+
+
+def _stage(a: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
+    """a (I + scale k) = a + scale (a @ k) for each map, in one new array."""
+    out = a @ k
+    out *= scale
+    out += a
+    return out
+
+
+def _rk4_step_matrices(table: HamiltonianTable, times: np.ndarray, h: float) -> np.ndarray:
+    """Classic RK4 step maps M_n, x_{n+1} = M_n x_n, for steps starting at ``times``.
+
+    Real (n, 8, 8) maps on row-ordered real 8-vectors [Re c; Im c]. For the
+    linear equation dC/dt = A(t) C, A = -i H(t), the four stages are
+    matrices: K1 = A(t), K2 = A(t + h/2)(I + h/2 K1), K3 = A(t + h/2)(I +
+    h/2 K2), K4 = A(t + h)(I + h K3), and M = I + h/6 (K1 + 2 K2 + 2 K3 +
+    K4). A is sampled once, at the three stage times of every step.
     """
     stage_times = times + np.array([[0.0], [0.5 * h], [h]])
-    k1, a_mid, a_end = -1j * hamiltonian_t(model, drive, stage_times)
-    k2 = a_mid + (0.5 * h) * (a_mid @ k1)
-    k3 = a_mid + (0.5 * h) * (a_mid @ k2)
-    k4 = a_end + h * (a_end @ k3)
-    return np.eye(4) + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    k1, a_mid, a_end = _sample_generator(table, stage_times)
+    k2 = _stage(a_mid, k1, 0.5 * h)
+    k3 = _stage(a_mid, k2, 0.5 * h)
+    k4 = _stage(a_end, k3, h)
+    # M = I + h/6 (K1 + 2 (K2 + K3) + K4), accumulated in place in K2
+    k2 += k3
+    k2 *= 2.0
+    k2 += k1
+    k2 += k4
+    k2 *= h / 6.0
+    k2.reshape(-1, 64)[:, ::9] += 1.0  # the diagonal of each 8x8 map
+    return k2
 
 
 def _march(maps: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Row k is maps[k] @ ... @ maps[0] @ state, for each of the m maps.
+    """Row k is maps[k] @ ... @ maps[0] @ state, for each of the m real maps.
 
     Two-level prefix product: group j holds steps j b .. j b + b - 1, with
     b = isqrt(m); identity maps pad the last group. prefix[i, j] is the
@@ -112,17 +157,18 @@ def _march(maps: np.ndarray, state: np.ndarray) -> np.ndarray:
     b = math.isqrt(m)
     groups = -(-m // b)
     if groups * b > m:
-        maps = np.concatenate((maps, np.broadcast_to(np.eye(4), (groups * b - m, 4, 4))))
-    steps = maps.reshape(groups, b, 4, 4).swapaxes(0, 1)
-    prefix = np.empty((b, groups, 4, 4), dtype=complex)
+        maps = np.concatenate((maps, np.broadcast_to(np.eye(8), (groups * b - m, 8, 8))))
+    steps = maps.reshape(groups, b, 8, 8).swapaxes(0, 1)
+    prefix = np.empty((b, groups, 8, 8))
     prefix[0] = steps[0]
     for i in range(1, b):
         np.matmul(steps[i], prefix[i - 1], out=prefix[i])
-    starts = np.empty((groups, 4), dtype=complex)
+    starts = np.empty((groups, 8))
     starts[0] = state
     for j in range(groups - 1):
         np.matmul(prefix[-1, j], starts[j], out=starts[j + 1])
-    return np.einsum("bgij,gj->gbi", prefix, starts).reshape(groups * b, 4)[:m]
+    states = prefix @ starts[:, :, None]  # (b, groups, 8, 1)
+    return states.swapaxes(0, 1).reshape(groups * b, 8)[:m]
 
 
 # Steps whose matrices are built at once; bounds memory on long grids.
@@ -138,16 +184,22 @@ def rk4_solve(
 
     Records populations at every grid point. The step matrices use only
     samples of the lab-frame H(t), never the rotating frame. Each block of
-    up to 4096 steps is built from one batch of H(t) samples and marched as
-    a two-level prefix product of its step maps (``_march``). A grid that
-    is non-finite, not strictly increasing or not uniform is a
-    ConfigurationError. Raises NumericsError when the state leaves the
+    up to 4096 steps is built as real 8x8 maps from one GEMM of H(t)
+    samples and marched as a two-level prefix product of its step maps
+    (``_march``). A grid that is non-finite, not strictly increasing, not
+    uniform or whose spacing overflows is a ConfigurationError. Raises NumericsError when the state leaves the
     finite range or its final norm drifts from 1 by more than 1e-6 (the
     step size was far too coarse for the couplings involved).
     """
-    drive.validate_for(model)
-    t_grid, _ = _check_grid(t_grid)
-    spacings = np.diff(t_grid)
+    table = hamiltonian_table(model, drive)
+    t_grid, t_abs = _check_grid(t_grid)
+    with np.errstate(over="ignore"):
+        spacings = np.diff(t_grid)
+    if not np.all(np.isfinite(spacings)):
+        raise ConfigurationError(
+            f"time grid spacing overflows to inf (max|t| = {t_abs:.3e});"
+            " a step between two grid times must be a finite float"
+        )
     t0, n_steps = float(t_grid[0]), spacings.size
     h = float(spacings[0]) if n_steps else 0.0
     if np.any(spacings <= 0):
@@ -155,17 +207,18 @@ def rk4_solve(
     if np.any(np.abs(spacings - h) > 1e-9 * max(1.0, abs(h))):
         raise ConfigurationError("time grid must be uniform for fixed-step RK4")
 
-    states = np.empty((n_steps + 1, 4), dtype=complex)
-    states[0] = to_row_order(c0.amplitudes)
+    c_rows = to_row_order(c0.amplitudes)
+    states = np.empty((n_steps + 1, 8))
+    states[0] = np.concatenate((c_rows.real, c_rows.imag))
     # a divergent march must overflow to inf/nan silently; the isfinite
     # check below turns it into a NumericsError
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, _RK4_BLOCK):
             stop = min(start + _RK4_BLOCK, n_steps)
             times = t0 + np.arange(start, stop) * h
-            maps = _rk4_step_matrices(model, drive, times, h)
+            maps = _rk4_step_matrices(table, times, h)
             states[start + 1 : stop + 1] = _march(maps, states[start])
-        pops_rows = np.abs(states) ** 2
+        pops_rows = states[:, :4] ** 2 + states[:, 4:] ** 2
 
     if not np.all(np.isfinite(pops_rows)):
         raise NumericsError(
@@ -178,7 +231,8 @@ def rk4_solve(
             f" at step size h = {h:.6g}; reduce the step size or the couplings"
         )
     trace = PopulationTrace(times=t_grid, populations=pops_rows[:, ::-1].copy())
-    final = StateVector(to_level_order(states[-1]), norm_tol=_RK4_NORM_TOL)
+    final_rows = states[-1, :4] + 1j * states[-1, 4:]
+    final = StateVector(to_level_order(final_rows), norm_tol=_RK4_NORM_TOL)
     return trace, final
 
 

@@ -164,21 +164,65 @@ class DriveParams:
                 )
 
 
+@dataclass(frozen=True)
+class HamiltonianTable:
+    """The lab-frame matrix of one (model, drive) pair as a table of generators.
+
+    H(t) = E + sum_ab kappa_ab (cos(w_ab t) X_ab + sin(w_ab t) Y_ab), with
+    X_ab = E_ab + E_ba and Y_ab = -i E_ab + i E_ba over the allowed
+    transitions in row order. ``generators`` holds (E, X_1..X_3, Y_1..Y_3)
+    as a (7, 4, 4) complex array; ``coefficients`` gives the matching
+    weights (1, kappa cos(w t), kappa sin(w t)) at any times. Every matrix
+    entry draws on exactly one generator, so a GEMM of the two is exact:
+    each sum holds one nonzero product.
+    """
+
+    generators: np.ndarray
+    kappa: np.ndarray
+    freq: np.ndarray
+
+    def coefficients(self, t) -> np.ndarray:
+        """The generator weights at each time, shape ``(7,) + t.shape``."""
+        theta = np.multiply.outer(self.freq, np.asarray(t, dtype=float))
+        kappa = self.kappa.reshape(self.kappa.shape + (1,) * (theta.ndim - 1))
+        n = len(kappa)
+        coeffs = np.empty((1 + 2 * n,) + theta.shape[1:])
+        coeffs[0] = 1.0
+        np.multiply(kappa, np.cos(theta), out=coeffs[1 : 1 + n])
+        np.multiply(kappa, np.sin(theta), out=coeffs[1 + n :])
+        return coeffs
+
+
+def hamiltonian_table(model: ModelConfig, drive: DriveParams) -> HamiltonianTable:
+    """The generator table of ``model`` under ``drive`` (see HamiltonianTable)."""
+    drive.validate_for(model)
+    transitions = model.sorted_transitions()
+    n = len(transitions)
+    generators = np.zeros((1 + 2 * n, 4, 4), dtype=complex)
+    generators[0] = np.diag(to_row_order(model.energies(drive.omega)))
+    for k, (a, b) in enumerate(transitions, start=1):
+        ra, rb = row_of(a), row_of(b)
+        generators[k, ra, rb] = generators[k, rb, ra] = 1.0
+        generators[n + k, ra, rb], generators[n + k, rb, ra] = -1j, 1j
+    return HamiltonianTable(
+        generators=generators,
+        kappa=np.array([drive.coupling[tr] for tr in transitions]),
+        freq=np.array([drive.field_freq[tr] for tr in transitions]),
+    )
+
+
 def hamiltonian_t(model: ModelConfig, drive: DriveParams, t) -> np.ndarray:
     """The lab-frame matrix at time ``t``: level energies on the diagonal,
     ``kappa_ab exp(-i w_ab t)`` above it for each allowed transition.
 
     An array of times gives one matrix per time, shape ``t.shape + (4, 4)``.
+    It is one real GEMM of the table's coefficients with the interleaved
+    real and imaginary planes of its generators.
     """
-    drive.validate_for(model)
-    t = np.asarray(t, dtype=float)
-    h = np.empty(t.shape + (4, 4), dtype=complex)
-    h[...] = np.diag(to_row_order(model.energies(drive.omega)))
-    for (a, b) in model.sorted_transitions():
-        entry = drive.coupling[(a, b)] * np.exp(-1j * drive.field_freq[(a, b)] * t)
-        h[..., row_of(a), row_of(b)] = entry
-        h[..., row_of(b), row_of(a)] = np.conj(entry)
-    return h
+    table = hamiltonian_table(model, drive)
+    coeffs = table.coefficients(t).reshape(len(table.generators), -1)
+    planes = coeffs.T @ table.generators.view(float).reshape(len(coeffs), 32)
+    return planes.view(complex).reshape(np.shape(t) + (4, 4))
 
 
 def hamiltonian_shift_form(
@@ -274,6 +318,7 @@ class PopulationTrace:
 
 __all__ = [
     "DriveParams",
+    "HamiltonianTable",
     "LADDER_OF_TRANSITION",
     "LEVELS",
     "ModelConfig",
@@ -286,6 +331,7 @@ __all__ = [
     "get_model",
     "hamiltonian_shift_form",
     "hamiltonian_t",
+    "hamiltonian_table",
     "row_of",
     "to_level_order",
     "to_row_order",

@@ -8,6 +8,7 @@ the CSV files it writes. Exit code contract: 0 success, 1 check failure,
 import contextlib
 import io
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -167,6 +168,25 @@ class TestRunConfig:
     ])
     def test_rejects_malformed_values(self, data):
         with pytest.raises(ConfigurationError):
+            RunConfig.from_json_dict(data)
+
+    @pytest.mark.parametrize("data, value", [
+        ({"model": "I", "omega": "123"}, "'123'"),
+        ({"model": "I", "omega": ["1", 2.0, 3.0]}, "'1'"),
+        ({"model": "I", "kappas": {"41": "0.7"}}, "'0.7'"),
+        ({"model": "I", "fields": {"41": "4", "32": 1.0, "21": 1.0}}, "'4'"),
+        ({"model": "I", "init": ["10", "00", "00", "00"]}, "'10'"),
+        ({"model": "I", "init": [["1", 0], [0, 0], [0, 0], [0, 0]]}, "'1'"),
+        ({"model": "I", "t_max": "1"}, "'1'"),
+        ({"model": "I", "t_max": True}, "True"),
+        ({"model": "I", "t_max": 10**400}, "1" + "0" * 400),
+    ], ids=["omega-string", "omega-string-entry", "kappa-string", "field-string",
+            "init-strings", "init-string-part", "t_max-string", "t_max-bool",
+            "t_max-huge-int"])
+    def test_requires_json_numbers(self, data, value):
+        # a string is not read as its characters or its digits, and the
+        # message names the value
+        with pytest.raises(ConfigurationError, match=re.escape(value)):
             RunConfig.from_json_dict(data)
 
 
@@ -399,6 +419,8 @@ class TestSimulate:
         '{"model": "I", "kappas": [1, 2]}',
         '{"model": "I", "init": [["a", 0], [0, 0], [0, 0], [0, 0]]}',
         '{"model": "I", "steps": 2.7}',
+        '{"model": "I", "omega": "123", "kappas": {"41": "0.7"},'
+        ' "init": ["10", "00", "00", "00"], "t_max": 1, "steps": 3}',
         '5',
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, text):
@@ -578,14 +600,21 @@ VALID_INITS = st.one_of(
         [[0.5, 0.5], [0.5, -0.5], [0.0, 0.0], [0.0, 0.0]],
     ]),
 )
+# strings and lists of strings where numbers belong; none may be read as
+# its characters or its digits
+NUMBER_STRINGS = st.sampled_from(["1", "0.7", "123", "10", "", "nan"])
+NOT_NUMBERS = NUMBER_STRINGS | st.lists(NUMBER_STRINGS, min_size=1, max_size=4)
 ANY_INITS = st.one_of(
     VALID_INITS,
     st.sampled_from([0, 5, True, "1"]),
     st.lists(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2), min_size=3, max_size=5),
+    st.lists(NUMBER_STRINGS, min_size=4, max_size=4),
+    st.lists(st.lists(NUMBER_STRINGS, min_size=2, max_size=2), min_size=4, max_size=4),
 )
 ANY_COUPLINGS = st.one_of(
     st.floats(0.0, 2.0),
     st.sampled_from([-0.5, -0.0, 1e-300, 1e300, float("nan"), float("inf")]),
+    NOT_NUMBERS,
 )
 # every decade up to 1e300, so that three-digit exponents reach the CSV
 T_MAX = st.one_of(
@@ -602,19 +631,20 @@ def config_documents(draw):
     model = draw(st.sampled_from(["I", "II", "III", "IV", "V", "VI"]))
     allowed = [cli.transition_key(tr) for tr in cli.get_model(model).allowed]
     keys = allowed if valid else TRANSITION_KEYS
-    t_max = draw(T_MAX)
+    t_max = draw(T_MAX if valid else T_MAX | NOT_NUMBERS)
     doc = {
         "model": model,
         "kappas": draw(st.dictionaries(
             st.sampled_from(keys), st.floats(0.0, 2.0) if valid else ANY_COUPLINGS, max_size=6,
         )),
         "t_max": t_max,
-        "steps": draw(st.integers(1, 40)) if t_max > 0 or not valid else 1,
+        "steps": draw(st.integers(1, 40)) if not valid or t_max > 0 else 1,
         "method": draw(st.sampled_from(["spectral", "rk4"])),
         "init": draw(VALID_INITS if valid else ANY_INITS),
     }
     if draw(st.booleans()):
-        doc["omega"] = draw(st.lists(st.floats(0.1, 5.0), min_size=3, max_size=3))
+        omega = st.lists(st.floats(0.1, 5.0), min_size=3, max_size=3)
+        doc["omega"] = draw(omega if valid else omega | NOT_NUMBERS)
     drive = draw(st.sampled_from(["default", "resonant", "fields"] + ([] if valid else ["both"])))
     if drive in ("resonant", "both"):
         doc["resonant"] = True
@@ -654,6 +684,9 @@ class TestConfigFuzz:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(doc=config_documents(), allow_nonresonant=st.booleans())
+    @example(doc={"model": "I", "omega": "123", "kappas": {"41": "0.7"},
+                  "init": ["10", "00", "00", "00"], "t_max": 1, "steps": 3, "method": "spectral"},
+             allow_nonresonant=False)
     def test_exit_code_and_bytes(self, tmp_path, doc, allow_nonresonant):
         cfg_path, out = tmp_path / "fuzz.json", tmp_path / "fuzz.csv"
         cfg_path.write_text(json.dumps(doc))

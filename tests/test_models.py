@@ -180,6 +180,25 @@ class TestHamiltonian:
             for idx in np.ndindex(times.shape):
                 assert np.array_equal(stacked[idx], hamiltonian_t(m, drive, float(times[idx])))
 
+    def test_matches_complex_exponential_bit_for_bit(self):
+        # the table's kappa cos(w t) and kappa sin(w t) weights give the
+        # entry kappa exp(-i w t) without a rounding difference
+        rng = np.random.default_rng(20261018)
+        for m in catalog():
+            drive = DriveParams(
+                omega=tuple(rng.uniform(0.2, 3.0, size=3)),
+                field_freq={tr: rng.uniform(-4.0, 4.0) for tr in m.allowed},
+                coupling={tr: rng.uniform(0.0, 1.0) for tr in m.allowed},
+            )
+            t = rng.uniform(-1e3, 1e3, size=2000)
+            literal = np.empty(t.shape + (4, 4), dtype=complex)
+            literal[...] = np.diag(m.energies(drive.omega)[::-1])
+            for a, b in m.allowed:
+                entry = drive.coupling[(a, b)] * np.exp(-1j * drive.field_freq[(a, b)] * t)
+                literal[..., row_of(a), row_of(b)] = entry
+                literal[..., row_of(b), row_of(a)] = np.conj(entry)
+            assert np.array_equal(hamiltonian_t(m, drive, t), literal)
+
 
 class TestShiftOperatorForm:
     def test_matches_matrix_form_on_random_draws(self):
