@@ -256,7 +256,12 @@ def run_trace(cfg: RunConfig, allow_nonresonant: bool = False) -> PopulationTrac
     model = get_model(cfg.model)
     drive = build_drive(cfg)
     state = initial_state(cfg.init)
-    t_grid = np.linspace(0.0, cfg.t_max, cfg.steps)
+    try:
+        t_grid = np.linspace(0.0, cfg.t_max, cfg.steps)
+    except ValueError:  # past NumPy's largest array size; num is a valid count
+        raise ConfigurationError(
+            f"steps = {cfg.steps} is more grid points than a NumPy array can hold"
+        ) from None
     if cfg.method == "rk4":
         trace, _ = rk4_solve(model, drive, state, t_grid)
         return trace
@@ -492,12 +497,12 @@ def cmd_figure(args: argparse.Namespace) -> int:
     cfg = RunConfig(model=model.id, kappas=kappas)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.steps)
     # the four start levels share one drive and grid: solve once, evaluate together
-    amplitudes = solve_frame(model, build_drive(cfg)).amplitudes(
+    populations = solve_frame(model, build_drive(cfg)).populations(
         [StateVector.basis(level) for level in LEVELS], t_grid
     )
     written = []
-    for level, amps in zip(LEVELS, amplitudes):
-        trace = PopulationTrace(times=t_grid, populations=np.abs(amps) ** 2)
+    for level, pops in zip(LEVELS, populations):
+        trace = PopulationTrace(times=t_grid, populations=pops)
         meta = trace_metadata(replace(cfg, init=level))
         if args.id == 10:
             # the paper figure's label; the run itself is resonant

@@ -119,17 +119,14 @@ def check_inversion(
     """
     model = get_model(mid)
     partner, partner_drive = invert_drive(model, drive)
-    src = solve_frame(model, drive, allow_nonresonant).amplitudes(
+    src = solve_frame(model, drive, allow_nonresonant).populations(
         [StateVector.basis(level) for level in LEVELS], t_grid
     )
-    dst = solve_frame(partner, partner_drive, allow_nonresonant).amplitudes(
+    dst = solve_frame(partner, partner_drive, allow_nonresonant).populations(
         [StateVector.basis(map_level(level)) for level in LEVELS], t_grid
     )
     # level i of the source lines up with level 5-i, i.e. reversed columns
-    return max(
-        float(np.abs(np.abs(a) ** 2 - (np.abs(b) ** 2)[:, ::-1]).max())
-        for a, b in zip(src, dst)
-    )
+    return max(float(np.abs(a - b[:, ::-1]).max()) for a, b in zip(src, dst))
 
 
 def spin32_couplings(kappa: float) -> dict[Transition, float]:
@@ -164,8 +161,8 @@ def spin32_reduction(
     # at resonance the frame matrix is the couplings alone, for any splittings
     drive = resonant_drive(model, (1.0, 2.0, 3.0), spin32_couplings(kappa))
     solution = solve_frame(model, drive)
-    (amps,) = solution.amplitudes([StateVector.basis(4)], t_grid)
-    trace = PopulationTrace(times=t_grid, populations=np.abs(amps) ** 2)
+    (pops,) = solution.populations([StateVector.basis(4)], t_grid)
+    trace = PopulationTrace(times=t_grid, populations=pops)
     deviation = float(
         np.abs(trace.populations - spin32_closed_form(kappa, trace.times)).max()
     )

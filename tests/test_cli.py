@@ -451,6 +451,23 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, document", [
+        (["--model", "I", "--steps", str(10**20)], None),
+        (["--config"], {"model": "I", "steps": 10**20}),
+        (["--config"], {"model": "I", "steps": 10**400}),
+    ])
+    def test_steps_past_array_size_exits_2(self, tmp_path, capsys, argv, document):
+        # past NumPy's largest array size, not merely past memory: np.linspace
+        # refuses such a count with a ValueError before it allocates anything
+        if document is not None:
+            cfg_path = tmp_path / "huge.json"
+            cfg_path.write_text(json.dumps(document))
+            argv = argv + [str(cfg_path)]
+        out = tmp_path / "huge.csv"
+        assert main(["simulate", *argv, "--out", str(out)]) == 2
+        assert "error: steps = 1000" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFigure:
     def test_writes_four_cases(self, tmp_path, capsys):
@@ -788,6 +805,8 @@ class TestArgvFuzz:
     @given(argv=argument_vectors())
     # a level gap that overflows once raised a RuntimeWarning in resonant_drive
     @example(argv=["simulate", "--model", "I", "--omega", "1", "1", "1e308"])
+    # a point count past NumPy's largest array once ended in a ValueError
+    @example(argv=["simulate", "--model", "I", "--steps", "100000000000000000000"])
     def test_exit_code_without_traceback(self, tmp_path, monkeypatch, argv):
         monkeypatch.setenv("SU4RABI_OUTDIR", str(tmp_path))
         monkeypatch.chdir(tmp_path)

@@ -5,19 +5,23 @@ spectral route diagonalizes the static rotating-frame matrix. They share no
 code beyond the model catalog, so their agreement checks both at once.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from su4rabi.dynamics import (
     _PHASE_TOL,
     _UNIT_ROUNDOFF,
-    _phases,
+    _TABLE_MIN_POINTS,
+    _phase_planes,
+    _pointwise_planes,
     _rk4_step_matrices,
     _sample_generator,
+    _table_planes,
     rk4_solve,
     schrodinger_rhs,
     solve_frame,
@@ -392,7 +396,7 @@ class TestFrameSolution:
     )
     @settings(max_examples=60, deadline=None)
     def test_states_evaluated_together_match_separate_traces(self, mid, detunings, states):
-        # the phase matrix is shared by every state; each state's populations
+        # the phase planes are shared by every state; each state's populations
         # must still be bit for bit those of its own single-state trace
         model = get_model(mid)
         coupling = {tr: 0.2 + 0.1 * i for i, tr in enumerate(model.sorted_transitions())}
@@ -401,11 +405,11 @@ class TestFrameSolution:
                   for tr, d in zip(model.sorted_transitions(), detunings)}
         drive = DriveParams(omega=OMEGA, field_freq=fields, coupling=coupling)
         grid = uniform_grid(20.0, 201)
-        together = solve_frame(model, drive, allow_nonresonant=True).amplitudes(states, grid)
+        together = solve_frame(model, drive, allow_nonresonant=True).populations(states, grid)
         assert len(together) == len(states)
-        for c0, amps in zip(states, together):
+        for c0, pops in zip(states, together):
             alone = trace_via_spectral(model, drive, c0, grid, allow_nonresonant=True)
-            assert np.array_equal(np.abs(amps) ** 2, alone.populations)
+            assert np.array_equal(pops, alone.populations)
 
     def test_phase_overflow_raises(self):
         drive = resonant_drive(MODEL_I, OMEGA, {(4, 1): 1e308, (3, 2): 0.24, (2, 1): 0.24})
@@ -481,11 +485,99 @@ class TestPhases:
         lam, t = np.array(lam), np.array(t)
         # scale the times so that max|L t| stays within the limit
         t /= max(1.0, float(np.abs(lam).max() * np.abs(t).max()) / PHASE_LIMIT)
-        reference = np.exp(-1j * np.outer(t, lam))
-        phases = _phases(t, lam)
-        assert phases.shape == reference.shape
-        assert within_one_ulp(phases.real, reference.real)
-        assert within_one_ulp(phases.imag, reference.imag)
+        reference = np.exp(-1j * np.outer(lam, t))
+        planes = _pointwise_planes(t, lam)
+        assert planes.shape == (2 * lam.size, t.size)
+        # exp(-i L t) = cos(L t) - i sin(L t)
+        assert within_one_ulp(planes[:lam.size], reference.real)
+        assert within_one_ulp(-planes[lam.size:], reference.imag)
+
+
+# Largest table-path deviation from the per-value planes, in units of
+# u max|L| max|t| (u = 2^-53). The time argument of the table is anchor +
+# offset: the uniformity check admits up to 4u max|t| between that sum and
+# the grid time, plus u for the check's own rounding; the anchor product L t
+# rounds by u max|L| max|t|, the offset product by u max|L| |t[i] - t[0]|
+# <= 2u max|L| max|t|, and the per-value product by u max|L| max|t|. That
+# gives 4 + 1 + 1 + 2 + 1 = 9; measured up to 5.1 on random grids, 2.8 on
+# the figure grid.
+TABLE_ARGUMENT_ULPS = 9
+# cos and sin of anchors and offsets and the angle addition itself round in
+# absolute terms; measured up to 2u where max|L| max|t| is tiny.
+TABLE_ABSOLUTE_ULPS = 4
+
+
+@st.composite
+def uniform_grids(draw):
+    """linspace grids from the crossover size to 50 001 points, ascending or
+    descending, starting at zero or not.
+
+    Both ends share a sign. A grid that crosses zero is just as uniform, but
+    the rounding of its times can exceed the check's 4u max|t| (5 of 6 667
+    random ones); it then takes the per-value path, which is exact.
+    """
+    if draw(st.booleans()):
+        b = draw(st.integers(math.isqrt(_TABLE_MIN_POINTS - 1) + 1, math.isqrt(50_001)))
+        n = b * b + draw(st.integers(0, 1))
+    else:
+        n = draw(st.integers(_TABLE_MIN_POINTS, 50_001))
+    start, stop = draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(
+        lambda ends: abs(ends[0] - ends[1]) >= 1e-3))
+    scale = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.integers(-2, 4))
+    return np.linspace(scale * start, scale * stop, n)
+
+
+# four eigenvalues of either sign over six decades
+eigenvalue_sets = st.lists(
+    st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-3.0, 3.0)), min_size=4, max_size=4
+).map(lambda pairs: np.sort([sign * 10.0**e for sign, e in pairs]))
+
+
+class TestPhasePlanes:
+    @given(uniform_grids(), eigenvalue_sets)
+    @settings(max_examples=80, deadline=None)
+    def test_table_matches_per_value_planes(self, grid, lam):
+        planes = _table_planes(grid, lam)
+        assert planes is not None  # a uniform grid takes the table
+        assert np.array_equal(_phase_planes(grid, lam), planes)
+        scale = _UNIT_ROUNDOFF * float(np.abs(lam).max() * np.abs(grid).max())
+        deviation = float(np.abs(planes - _pointwise_planes(grid, lam)).max())
+        target(deviation / (scale + _UNIT_ROUNDOFF))
+        assert deviation <= TABLE_ARGUMENT_ULPS * scale + TABLE_ABSOLUTE_ULPS * _UNIT_ROUNDOFF
+
+    def test_table_error_is_of_the_predicted_size(self):
+        # the other side of the bound: on a long grid the table's argument
+        # error reaches a fixed fraction of u max|L| max|t| (1.73 measured
+        # here), so the constant above is not loose by more than a few times
+        lam = solve_frame(MODEL_I, CHAIN_DRIVE).eigensystem.eigenvalues
+        grid = np.linspace(0.0, 5e4, 50_001)
+        scale = _UNIT_ROUNDOFF * float(np.abs(lam).max()) * 5e4
+        deviation = float(np.abs(_table_planes(grid, lam) - _pointwise_planes(grid, lam)).max())
+        assert 0.5 * scale <= deviation <= TABLE_ARGUMENT_ULPS * scale
+
+    @pytest.mark.parametrize("grid", [
+        np.geomspace(1.0, 50.0, 5001),
+        np.concatenate((np.linspace(0.0, 25.0, 2500), np.linspace(25.5, 50.0, 2501))),
+        np.linspace(0.0, 50.0, 5001) + np.where(np.arange(5001) == 4000, 1e-9, 0.0),
+    ])
+    def test_non_uniform_grid_takes_per_value_path(self, grid):
+        lam = solve_frame(MODEL_I, CHAIN_DRIVE).eigensystem.eigenvalues
+        assert _table_planes(grid, lam) is None
+        assert np.array_equal(_phase_planes(grid, lam), _pointwise_planes(grid, lam))
+
+    def test_short_grid_takes_per_value_path(self):
+        lam = solve_frame(MODEL_I, CHAIN_DRIVE).eigensystem.eigenvalues
+        grid = uniform_grid(50.0, _TABLE_MIN_POINTS - 1)
+        assert np.array_equal(_phase_planes(grid, lam), _pointwise_planes(grid, lam))
+
+    def test_amplitudes_and_populations_share_one_kernel(self):
+        solution = solve_frame(MODEL_I, CHAIN_DRIVE)
+        states = [StateVector.basis(level) for level in (1, 2, 3, 4)]
+        for grid in (uniform_grid(50.0, 101), uniform_grid(50.0, 5001)):
+            amps = solution.amplitudes(states, grid)
+            pops = solution.populations(states, grid)
+            for a, p in zip(amps, pops):
+                assert np.array_equal(a.real**2 + a.imag**2, p)
 
 
 class TestScalarReference:
