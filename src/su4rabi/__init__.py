@@ -20,7 +20,6 @@ from .algebra import (
 from .dynamics import (
     FrameSolution,
     rk4_solve,
-    schrodinger_rhs,
     solve_frame,
     trace_via_spectral,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "resonant_drive",
     "rk4_solve",
     "rotate",
-    "schrodinger_rhs",
     "solve_frame",
     "spin32_reduction",
     "structure_constants",

@@ -269,7 +269,7 @@ def run_trace(cfg: RunConfig, allow_nonresonant: bool = False) -> PopulationTrac
 
 
 def trace_metadata(cfg: RunConfig) -> list[tuple[str, str]]:
-    meta = [
+    return [
         ("model", cfg.model.value),
         ("omega", " ".join(str(x) for x in cfg.omega)),
         ("kappa", " ".join(
@@ -284,7 +284,6 @@ def trace_metadata(cfg: RunConfig) -> list[tuple[str, str]]:
         ("method", cfg.method),
         ("grid", f"t_max={cfg.t_max} points={cfg.steps}"),
     ]
-    return meta
 
 
 # One CSV row: t, p1..p4. printf's %e and format()'s .12e share one

@@ -18,15 +18,16 @@ one-state shorthand.
 
 The planes take one of two paths. A grid of fewer than
 ``_TABLE_MIN_POINTS`` times, or one that is not uniform, takes one cos and
-one sin per value. A uniform grid of at least that many times takes a
-table: time j b + i (b = isqrt(n)) is the anchor t[j b] plus the offset
-t[i] - t[0], cos and sin are taken at the sqrt(n) anchors and offsets only,
-and one batched product combines them by angle addition. The crossover is
-measured, where the table's fixed cost of about 27 us meets about 0.09 us
-per grid point. The table adds the rounding of its anchor and offset
-products and of its uniformity check to the phase argument: at most
-9u max|L| max|t| (u = 2^-53) against the per-value planes, measured 2.8u
-max|L| max|t| on the 5 001-point figure grids. The measured error is below
+one sin per value. A uniform grid (within 4u max|t|, u = 2^-53, of the
+times ``numpy.linspace`` forms between its ends) of at least that many
+times takes a table: time j b + i (b = isqrt(n)) is the anchor t[j b] plus
+the offset t[i] - t[0], cos and sin are taken at the sqrt(n) anchors and
+offsets only, and one batched product combines them by angle addition. The
+crossover is measured, where the table's fixed cost of about 27 us meets
+about 0.09 us per grid point. The table adds the rounding of the grid's
+formation and of its products to the phase argument: at most 9u max|L|
+max|t| against the per-value planes, measured 2.8u max|L| max|t| on the
+figure grids and 5.3u on grids crossing zero. The measured error is below
 that of the eigenvalues themselves, whose backward error (7.9u max|L|
 measured for the Jacobi solver) the phase budget u max|L| max|t| <= 1e-6
 already covers.
@@ -68,7 +69,6 @@ from .models import (
     ModelConfig,
     PopulationTrace,
     StateVector,
-    hamiltonian_t,
     hamiltonian_table,
     to_level_order,
     to_row_order,
@@ -78,22 +78,9 @@ from .spectral import EigenSystem, jacobi_eigh
 __all__ = [
     "FrameSolution",
     "rk4_solve",
-    "schrodinger_rhs",
     "solve_frame",
     "trace_via_spectral",
 ]
-
-
-def schrodinger_rhs(
-    model: ModelConfig, drive: DriveParams, t: float, amplitudes: np.ndarray
-) -> np.ndarray:
-    """-i H(t) c for a level-ordered amplitude vector (any norm).
-
-    Reference implementation used by tests; ``rk4_solve`` builds whole RK4
-    step matrices from samples of H(t) instead of calling it per stage.
-    """
-    c_rows = to_row_order(np.asarray(amplitudes, dtype=complex))
-    return to_level_order(-1j * (hamiltonian_t(model, drive, t) @ c_rows))
 
 
 def _check_grid(t_grid) -> tuple[np.ndarray, float]:
@@ -111,46 +98,55 @@ def _check_grid(t_grid) -> tuple[np.ndarray, float]:
     return t_grid, t_abs
 
 
-def _sample_generator(table: HamiltonianTable, times: np.ndarray) -> np.ndarray:
+def _sample_generator(table: HamiltonianTable, times: np.ndarray, out: np.ndarray) -> np.ndarray:
     """-i H(t) as real 8x8 blocks at every time, shape ``times.shape + (8, 8)``.
 
     A complex 4-vector x + i y is the real 8-vector [x; y], on which -i G
     acts as [[Im G, Re G], [-Re G, Im G]]. The seven generators become such
     blocks, and one (len, 7) @ (7, 64) GEMM with the table's coefficients
-    samples every time. Each entry holds one nonzero product, so the blocks
-    equal those of ``-1j * hamiltonian_t`` exactly.
+    samples every time into ``out``, a C-contiguous array of the result's
+    size. Each entry holds one nonzero product, so the blocks equal those of
+    ``-1j * hamiltonian_t`` exactly.
     """
     re, im = table.generators.real, table.generators.imag
     blocks = np.empty((len(re), 8, 8))
     blocks[:, :4, :4] = blocks[:, 4:, 4:] = im
     blocks[:, :4, 4:] = re
     np.negative(re, out=blocks[:, 4:, :4])
-    samples = table.coefficients(times.reshape(-1)).T @ blocks.reshape(-1, 64)
+    samples = np.matmul(table.coefficients(times.reshape(-1)).T, blocks.reshape(-1, 64),
+                        out=out.reshape(times.size, 64))
     return samples.reshape(times.shape + (8, 8))
 
 
-def _stage(a: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
-    """a (I + scale k) = a + scale (a @ k) for each map, in one new array."""
-    out = a @ k
+def _stage(a: np.ndarray, k: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """a (I + scale k) = a + scale (a @ k) for each map, written into ``out``."""
+    np.matmul(a, k, out=out)
     out *= scale
     out += a
     return out
 
 
-def _rk4_step_matrices(table: HamiltonianTable, times: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step_matrices(
+    table: HamiltonianTable, times: np.ndarray, h: float, work: np.ndarray
+) -> np.ndarray:
     """Classic RK4 step maps M_n, x_{n+1} = M_n x_n, for steps starting at ``times``.
 
     Real (n, 8, 8) maps on row-ordered real 8-vectors [Re c; Im c]. For the
     linear equation dC/dt = A(t) C, A = -i H(t), the four stages are
     matrices: K1 = A(t), K2 = A(t + h/2)(I + h/2 K1), K3 = A(t + h/2)(I +
     h/2 K2), K4 = A(t + h)(I + h K3), and M = I + h/6 (K1 + 2 K2 + 2 K3 +
-    K4). A is sampled once, at the three stage times of every step.
+    K4). A is sampled once, at the three stage times of every step. The
+    samples and the later stages fill ``work``, a flat buffer of at least
+    6 * 64 n floats that every block of a march reuses, and the maps are
+    returned in it.
     """
+    n = times.size
+    work = work[: 6 * 64 * n].reshape(6, n, 8, 8)
     stage_times = times + np.array([[0.0], [0.5 * h], [h]])
-    k1, a_mid, a_end = _sample_generator(table, stage_times)
-    k2 = _stage(a_mid, k1, 0.5 * h)
-    k3 = _stage(a_mid, k2, 0.5 * h)
-    k4 = _stage(a_end, k3, h)
+    k1, a_mid, a_end = _sample_generator(table, stage_times, work[:3])
+    k2 = _stage(a_mid, k1, 0.5 * h, work[3])
+    k3 = _stage(a_mid, k2, 0.5 * h, work[4])
+    k4 = _stage(a_end, k3, h, work[5])
     # M = I + h/6 (K1 + 2 (K2 + K3) + K4), accumulated in place in K2
     k2 += k3
     k2 *= 2.0
@@ -227,13 +223,15 @@ def rk4_solve(
     c_rows = to_row_order(c0.amplitudes)
     states = np.empty((n_steps + 1, 8))
     states[0] = np.concatenate((c_rows.real, c_rows.imag))
+    # one buffer for the samples, stages and maps of every block
+    work = np.empty(6 * min(_RK4_BLOCK, n_steps) * 64)
     # a divergent march must overflow to inf/nan silently; the isfinite
     # check below turns it into a NumericsError
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, _RK4_BLOCK):
             stop = min(start + _RK4_BLOCK, n_steps)
             times = t0 + np.arange(start, stop) * h
-            maps = _rk4_step_matrices(table, times, h)
+            maps = _rk4_step_matrices(table, times, h, work)
             states[start + 1 : stop + 1] = _march(maps, states[start])
         pops_rows = states[:, :4] ** 2 + states[:, 4:] ** 2
 
@@ -279,22 +277,27 @@ def _table_planes(t_grid: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray | N
     """The planes of ``_pointwise_planes`` by angle addition, or None when the
     grid is not uniform.
 
-    With b = isqrt(n), time j b + i is the anchor t[j b] plus the offset
-    t[i] - t[0]; the grid counts as uniform when every time lies within
-    4u max|t| of that sum, checked on the grid itself. cos and sin are then
-    taken only at the sqrt(n) anchors and the sqrt(n) offsets, and one
-    batched product [cos A, sin A] @ [[cos D, sin D], [-sin D, cos D]] gives
-    cos(A + D) and sin(A + D) at every time.
+    The grid counts as uniform when every time lies within 4u max|t| of
+    the time ``numpy.linspace(t[0], t[-1], n)`` forms, t[0] + k step with
+    step = (t[-1] - t[0]) / (n - 1) and the last time t[-1]; a linspace grid
+    meets it exactly, whether or not it crosses zero. With b = isqrt(n),
+    time j b + i is then the anchor t[j b] plus the offset t[i] - t[0]; cos
+    and sin are taken only at the sqrt(n) anchors and the sqrt(n) offsets,
+    and one batched product [cos A, sin A] @ [[cos D, sin D], [-sin D, cos D]]
+    gives cos(A + D) and sin(A + D) at every time.
     """
     n = t_grid.size
-    b = math.isqrt(n)
-    anchors = t_grid[::b]
-    offsets = t_grid[:b] - t_grid[0]
+    t0 = t_grid[0]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
-        predicted = (anchors[:, None] + offsets).reshape(-1)[:n]
+        # numpy.linspace's own formation, the last time set to t[-1]
+        predicted = np.arange(n) * ((t_grid[-1] - t0) / (n - 1)) + t0
+        predicted[-1] = t_grid[-1]
         drift = np.abs(predicted - t_grid).max()
     if not drift <= 4.0 * _UNIT_ROUNDOFF * np.abs(t_grid).max():
         return None
+    b = math.isqrt(n)
+    anchors = t_grid[::b]
+    offsets = t_grid[:b] - t0
     m, g = eigenvalues.size, anchors.size
     angles = np.multiply.outer(eigenvalues, anchors)
     left = np.empty((m, g, 2))
@@ -368,14 +371,14 @@ class FrameSolution:
         back = t_mat.T[::-1]  # T.T with its rows in level order
         planes = _phase_planes(t_grid, lam)
         mix = np.empty((8, 8))
+        top = mix[:4].reshape(4, 2, 4)  # [back * a | back * b], w's parts as rows
         parts = np.empty(planes.shape)
         results = []
         for c0 in states:
             w = t_mat @ to_row_order(c0.amplitudes)
-            np.multiply(back, w.real, out=mix[:4, :4])
-            np.multiply(back, w.imag, out=mix[:4, 4:])
-            mix[4:, :4] = mix[:4, 4:]
-            np.negative(mix[:4, :4], out=mix[4:, 4:])
+            np.multiply(back[:, None], w.view(float).reshape(4, 2).T, out=top)
+            mix[4:, :4] = top[:, 1]
+            np.negative(top[:, 0], out=mix[4:, 4:])
             np.matmul(mix, planes, out=parts)
             results.append(finish(parts))
         return results
@@ -410,8 +413,7 @@ def solve_frame(
     diagonal is nonzero and the caller must opt in explicitly; the resonant
     case is the primary regime of the spectral route.
     """
-    drive.validate_for(model)
-    fr = rotate(model, drive)
+    fr = rotate(model, drive)  # validates the drive first
     if not allow_nonresonant and not fr.is_resonant():
         raise ConfigurationError(
             f"drive is off resonance (max detuning {fr.max_detuning():.2e}"

@@ -20,6 +20,9 @@ exactly and each transition keeps its bare coupling. Its diagonal holds the
 per-level detunings E_i + K_i, whose pairwise differences along allowed
 transitions are the field detunings D_ab = (E_a - E_b) - w_ab. Driving every
 transition at resonance (w_ab = E_a - E_b) zeroes the whole diagonal.
+
+A 4x4 frame is too small for array operations to pay: K, the energies and
+both kinds of detuning are Python floats, and each array is built once.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .models import (
-    LEVELS,
     DriveParams,
     ModelConfig,
     Transition,
@@ -95,28 +97,25 @@ def frame_generator(model: ModelConfig, drive: DriveParams) -> np.ndarray:
             " the frame generator is underdetermined"
         )
     mean = (k[1] + k[2] + k[3] + k[4]) / 4.0
-    return np.array([k[level] - mean for level in LEVELS])
+    return np.array([k[1] - mean, k[2] - mean, k[3] - mean, k[4] - mean])
 
 
 def rotate(model: ModelConfig, drive: DriveParams) -> RotatingFrame:
     """Build the time-independent frame matrix and its detunings."""
     k_levels = frame_generator(model, drive)
-    energies = model.energies(drive.omega)
-    diag_det = energies + k_levels
+    k1, k2, k3, k4 = k_levels.tolist()
+    energies = e1, e2, e3, e4 = model.energies(drive.omega).tolist()
+    diag_det = d1, d2, d3, d4 = [e1 + k1, e2 + k2, e3 + k3, e4 + k4]
 
-    rows = [[0.0] * 4 for _ in range(4)]
-    for r, value in enumerate(to_row_order(diag_det).tolist()):
-        rows[r][r] = value
+    # row order: level 4 first
+    rows = [[d4, 0.0, 0.0, 0.0], [0.0, d3, 0.0, 0.0], [0.0, 0.0, d2, 0.0], [0.0, 0.0, 0.0, d1]]
+    detunings = {}
     for (a, b) in model.sorted_transitions():
         rows[row_of(a)][row_of(b)] = rows[row_of(b)][row_of(a)] = drive.coupling[(a, b)]
-
-    detunings = {
-        (a, b): float((energies[a - 1] - energies[b - 1]) - drive.field_freq[(a, b)])
-        for (a, b) in model.sorted_transitions()
-    }
+        detunings[(a, b)] = float((energies[a - 1] - energies[b - 1]) - drive.field_freq[(a, b)])
     return RotatingFrame(
         model=model, K=k_levels, h_tilde=np.array(rows, dtype=float),
-        detunings=detunings, diag_detunings=diag_det,
+        detunings=detunings, diag_detunings=np.array(diag_det),
     )
 
 

@@ -304,7 +304,7 @@ class PopulationTrace:
             raise ConfigurationError(
                 f"populations shape {pops.shape} does not match {times.size} times"
             )
-        if times.size > 1 and not np.all(np.diff(times) > 0):
+        if not (times[1:] > times[:-1]).all():  # a NaN time fails too
             raise ConfigurationError("time grid must be strictly increasing")
         times.setflags(write=False)
         pops.setflags(write=False)

@@ -35,8 +35,8 @@ _SIGN_TIE_TOL = 1e-12
 _ORTHO_TOL = 1e-10
 _MAX_SWEEPS = 50
 
-# Each plane (p, q) with the two indices r outside it.
-_ROTATIONS = tuple((p, q, tuple(r for r in range(4) if r not in (p, q))) for p, q in PLANES)
+# Each plane (p, q) followed by the two indices r < u outside it.
+_ROTATIONS = tuple((p, q, *(r for r in range(4) if r not in (p, q))) for p, q in PLANES)
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,11 @@ def jacobi_eigh(h: np.ndarray) -> EigenSystem:
     below 1e-14 relative to the matrix scale; convergence is quadratic and
     a handful of sweeps suffices.
 
-    The sweeps run on Python floats: each rotation updates the two pivot
-    diagonals by Rutishauser's ``a_pp - t a_pq``, ``a_qq + t a_pq``, zeroes
-    the pivot pair, and rotates the remaining entries of rows and columns
-    p, q of the matrix and columns p, q of the accumulated rotation in
-    place.
+    The sweeps run on Python floats, without an inner loop: each rotation
+    (p, q, r, u) updates the pivot diagonals by Rutishauser's ``a_pp - t
+    a_pq``, ``a_qq + t a_pq``, zeroes the pivot pair, rotates the entries
+    (r, p), (r, q), (u, p), (u, q) and their mirrors in place, and rebuilds
+    eigenvector rows p and q from their unpacked values.
 
     Rows of the returned diagonalizer are sorted by eigenvalue and
     sign-fixed: the first component whose magnitude is within 1e-12 of the
@@ -88,12 +88,13 @@ def jacobi_eigh(h: np.ndarray) -> EigenSystem:
     h = np.asarray(h, dtype=float)
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
-    rows = h.tolist()
-    entries = rows[0] + rows[1] + rows[2] + rows[3]
+    rows = r0, r1, r2, r3 = h.tolist()
+    entries = r0 + r1 + r2 + r3
     if not all(map(math.isfinite, entries)):
         raise NumericsError("matrix has non-finite entries")
     largest = max(map(abs, entries))
-    if max(abs(rows[p][q] - rows[q][p]) for p, q in PLANES) > _SYMMETRY_TOL * largest:
+    if max(abs(r0[1] - r1[0]), abs(r0[2] - r2[0]), abs(r0[3] - r3[0]), abs(r1[2] - r2[1]),
+           abs(r1[3] - r3[1]), abs(r2[3] - r3[2])) > _SYMMETRY_TOL * largest:
         raise ValueError("matrix is not symmetric")
 
     exponent = math.frexp(largest)[1]
@@ -105,48 +106,54 @@ def jacobi_eigh(h: np.ndarray) -> EigenSystem:
     # accumulated rotation, whose columns p, q each rotation mixes
     v = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
          [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
-    a0, a1, a2 = a[0], a[1], a[2]
+    a0, a1, a2, a3 = a
+    skip = tol / 10.0
+    hypot = math.hypot
     for sweeps in range(_MAX_SWEEPS):
         off = math.sqrt(2.0 * (a0[1] * a0[1] + a0[2] * a0[2] + a0[3] * a0[3]
                                + a1[2] * a1[2] + a1[3] * a1[3] + a2[3] * a2[3]))
         if off < tol:
             break
-        for p, q, others in _ROTATIONS:
-            ap, aq = a[p], a[q]
+        for p, q, r, u in _ROTATIONS:
+            ap, aq, ar, au = a[p], a[q], a[r], a[u]
             apq = ap[q]
-            if abs(apq) < tol / 10.0:
+            if -skip < apq < skip:
                 continue
             tau = (aq[q] - ap[p]) / (2.0 * apq)
-            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau)) if tau != 0.0 else 1.0
-            c = 1.0 / math.hypot(1.0, t)
+            # t = sign(tau) / (|tau| + hypot(1, tau)), and 1 at tau = 0
+            t = (1.0 / (tau + hypot(1.0, tau)) if tau > 0.0
+                 else -1.0 / (hypot(1.0, tau) - tau) if tau < 0.0 else 1.0)
+            c = 1.0 / hypot(1.0, t)
             s = t * c
             ap[p] -= t * apq
             aq[q] += t * apq
             ap[q] = aq[p] = 0.0
-            for r in others:
-                ar = a[r]
-                x, y = ar[p], ar[q]
-                ar[p] = ap[r] = c * x - s * y
-                ar[q] = aq[r] = s * x + c * y
-            vp, vq = v[p], v[q]
-            for i in range(4):
-                x, y = vp[i], vq[i]
-                vp[i] = c * x - s * y
-                vq[i] = s * x + c * y
+            x, y = ar[p], ar[q]
+            ar[p] = ap[r] = c * x - s * y
+            ar[q] = aq[r] = s * x + c * y
+            x, y = au[p], au[q]
+            au[p] = ap[u] = c * x - s * y
+            au[q] = aq[u] = s * x + c * y
+            x0, x1, x2, x3 = v[p]
+            y0, y1, y2, y3 = v[q]
+            v[p] = [c * x0 - s * y0, c * x1 - s * y1, c * x2 - s * y2, c * x3 - s * y3]
+            v[q] = [s * x0 + c * y0, s * x1 + c * y1, s * x2 + c * y2, s * x3 + c * y3]
     else:
         raise NumericsError("Jacobi sweeps did not converge")
 
-    order = sorted(range(4), key=lambda k: a[k][k])
+    diagonal = [a0[0], a1[1], a2[2], a3[3]]
+    order = sorted(range(4), key=diagonal.__getitem__)
     try:
-        eigenvalues = np.array([math.ldexp(a[k][k], exponent) for k in order])
+        eigenvalues = np.array([math.ldexp(diagonal[k], exponent) for k in order])
     except OverflowError:
         raise NumericsError("eigenvalues overflow the float range") from None
     vectors = []
     for k in order:
-        vec = v[k]
-        peak = max(map(abs, vec))
-        lead = next(x for x in vec if abs(x) >= peak - _SIGN_TIE_TOL)
-        vectors.append([-x for x in vec] if lead < 0.0 else vec)
+        x0, x1, x2, x3 = vec = v[k]
+        floor = max(abs(x0), abs(x1), abs(x2), abs(x3)) - _SIGN_TIE_TOL
+        lead = (x0 if abs(x0) >= floor else x1 if abs(x1) >= floor
+                else x2 if abs(x2) >= floor else x3)
+        vectors.append([-x0, -x1, -x2, -x3] if lead < 0.0 else vec)
     diag = np.array(vectors)
     eigenvalues.setflags(write=False)
     diag.setflags(write=False)

@@ -37,16 +37,6 @@ from .models import (
     get_model,
 )
 
-# Cross-check table only; partners are computed from the catalog.
-EXPECTED_PARTNERS = {
-    ModelId.I: ModelId.VI,
-    ModelId.II: ModelId.V,
-    ModelId.III: ModelId.III,
-    ModelId.IV: ModelId.IV,
-    ModelId.V: ModelId.II,
-    ModelId.VI: ModelId.I,
-}
-
 
 def map_level(level: int) -> int:
     """The ladder flip i -> 5 - i."""

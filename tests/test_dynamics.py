@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
+from su4rabi import dynamics
 from su4rabi.dynamics import (
     _PHASE_TOL,
     _UNIT_ROUNDOFF,
@@ -23,7 +24,6 @@ from su4rabi.dynamics import (
     _sample_generator,
     _table_planes,
     rk4_solve,
-    schrodinger_rhs,
     solve_frame,
     trace_via_spectral,
 )
@@ -45,6 +45,16 @@ CHAIN_COUPLINGS = {(4, 1): 0.7, (3, 2): 0.24, (2, 1): 0.24}
 
 MODEL_I = get_model("I")
 CHAIN_DRIVE = resonant_drive(MODEL_I, OMEGA, CHAIN_COUPLINGS)
+
+
+def schrodinger_rhs(model, drive, t, amplitudes):
+    """-i H(t) c for a level-ordered amplitude vector (any norm).
+
+    The scalar reference for the RK4 route; ``rk4_solve`` builds whole RK4
+    step matrices from samples of H(t) instead of calling it per stage.
+    """
+    c_rows = to_row_order(np.asarray(amplitudes, dtype=complex))
+    return to_level_order(-1j * (hamiltonian_t(model, drive, t) @ c_rows))
 
 
 def uniform_grid(t_max, n_points):
@@ -308,7 +318,8 @@ class TestGeneratorTable:
         h = 1e-2
         times = 0.3 + np.arange(50) * h
         stage_times = times + np.array([[0.0], [0.5 * h], [h]])
-        samples = _sample_generator(hamiltonian_table(model, drive), stage_times)
+        samples = _sample_generator(hamiltonian_table(model, drive), stage_times,
+                                    np.empty((3, 50, 8, 8)))
         reference = real_blocks(-1j * hamiltonian_t(model, drive, stage_times))
         assert samples.shape == (3, 50, 8, 8)
         assert np.array_equal(samples, reference)
@@ -317,12 +328,15 @@ class TestGeneratorTable:
     def test_step_maps_match_complex_build(self, model_id):
         # the real and the complex build differ only in rounding: measured
         # at most 1.7e-18 on these maps, whose diagonal is close to 1; the
-        # bound stays below one ulp of that diagonal (2.2e-16)
+        # bound stays below one ulp of that diagonal (2.2e-16); the work
+        # buffer, larger than needed, starts as NaN, so no stale entry may
+        # reach the maps
         model = get_model(model_id)
         drive = off_resonant_drive(model)
         h = 1e-2
         times = 0.3 + np.arange(200) * h
-        maps = _rk4_step_matrices(hamiltonian_table(model, drive), times, h)
+        maps = _rk4_step_matrices(hamiltonian_table(model, drive), times, h,
+                                  np.full(6 * 64 * 256, np.nan))
         reference = real_blocks(complex_step_maps(model, drive, times, h))
         assert np.abs(maps - reference).max() < 1e-16
 
@@ -495,12 +509,15 @@ class TestPhases:
 
 # Largest table-path deviation from the per-value planes, in units of
 # u max|L| max|t| (u = 2^-53). The time argument of the table is anchor +
-# offset: the uniformity check admits up to 4u max|t| between that sum and
-# the grid time, plus u for the check's own rounding; the anchor product L t
-# rounds by u max|L| max|t|, the offset product by u max|L| |t[i] - t[0]|
-# <= 2u max|L| max|t|, and the per-value product by u max|L| max|t|. That
-# gives 4 + 1 + 1 + 2 + 1 = 9; measured up to 5.1 on random grids, 2.8 on
-# the figure grid.
+# offset, t[j b] + (t[i] - t[0]); the uniformity check admits a grid within
+# 4u max|t| of numpy.linspace's formation of its times, t[0] + k step. For a
+# linspace grid the argument misses the grid time t[j b + i] by the rounding
+# of that formation: 2u |t[-1] - t[0]| from the products k step and 3u max|t|
+# from the sums, 7u max|t| when the grid crosses zero. The anchor product
+# L t rounds by u max|L| max|t|, the offset product by u max|L| |t[i] - t[0]|
+# (a 1/sqrt(n) share of the span), and the per-value product by
+# u max|L| max|t|: about 9 in all. Measured up to 5.1 on random grids, 5.0
+# on the grids that cross zero below, 2.8 on the figure grid.
 TABLE_ARGUMENT_ULPS = 9
 # cos and sin of anchors and offsets and the angle addition itself round in
 # absolute terms; measured up to 2u where max|L| max|t| is tiny.
@@ -510,11 +527,8 @@ TABLE_ABSOLUTE_ULPS = 4
 @st.composite
 def uniform_grids(draw):
     """linspace grids from the crossover size to 50 001 points, ascending or
-    descending, starting at zero or not.
-
-    Both ends share a sign. A grid that crosses zero is just as uniform, but
-    the rounding of its times can exceed the check's 4u max|t| (5 of 6 667
-    random ones); it then takes the per-value path, which is exact.
+    descending, starting at zero or not. Both ends share a sign; grids that
+    cross zero are ``zero_crossing_grids``.
     """
     if draw(st.booleans()):
         b = draw(st.integers(math.isqrt(_TABLE_MIN_POINTS - 1) + 1, math.isqrt(50_001)))
@@ -531,6 +545,22 @@ def uniform_grids(draw):
 eigenvalue_sets = st.lists(
     st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-3.0, 3.0)), min_size=4, max_size=4
 ).map(lambda pairs: np.sort([sign * 10.0**e for sign, e in pairs]))
+
+
+def zero_crossing_grids(count=3000):
+    """Seeded linspace grids whose ends have opposite signs, ascending or
+    descending, with log-uniform sizes from the crossover to 50 001 points,
+    each with four eigenvalues of either sign over six decades. The products
+    k step of their times round by up to u |t[-1] - t[0]|, which can be twice
+    u max|t|: 4 of them miss the check's 4u max|t| when it compares anchor +
+    offset with the grid instead of with the linspace formation."""
+    rng = np.random.default_rng(2014)
+    for _ in range(count):
+        n = int(round(math.exp(rng.uniform(math.log(_TABLE_MIN_POINTS), math.log(50_001)))))
+        scale = rng.choice([1.0, -1.0]) * 10.0 ** int(rng.integers(-2, 5))
+        start, stop = scale * rng.uniform(0.001, 1.0, 2) * [-1.0, 1.0]
+        lam = np.sort(rng.choice([1.0, -1.0], 4) * 10.0 ** rng.uniform(-3.0, 3.0, 4))
+        yield np.linspace(start, stop, n), lam
 
 
 class TestPhasePlanes:
@@ -554,6 +584,22 @@ class TestPhasePlanes:
         scale = _UNIT_ROUNDOFF * float(np.abs(lam).max()) * 5e4
         deviation = float(np.abs(_table_planes(grid, lam) - _pointwise_planes(grid, lam)).max())
         assert 0.5 * scale <= deviation <= TABLE_ARGUMENT_ULPS * scale
+
+    def test_grids_crossing_zero_take_the_table(self, monkeypatch):
+        def refuse(t_grid, eigenvalues):
+            raise AssertionError(f"a {t_grid.size}-point linspace grid left the table")
+
+        worst = 0.0
+        for grid, lam in zero_crossing_grids():
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "_pointwise_planes", refuse)
+                planes = _phase_planes(grid, lam)
+            scale = _UNIT_ROUNDOFF * float(np.abs(lam).max() * np.abs(grid).max())
+            reference = _pointwise_planes(grid, lam)
+            reference -= planes
+            deviation = float(np.abs(reference, out=reference).max())
+            worst = max(worst, (deviation - TABLE_ABSOLUTE_ULPS * _UNIT_ROUNDOFF) / scale)
+        assert worst <= TABLE_ARGUMENT_ULPS
 
     @pytest.mark.parametrize("grid", [
         np.geomspace(1.0, 50.0, 5001),

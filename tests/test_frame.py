@@ -1,5 +1,9 @@
 """Frame generator, detunings, and time independence."""
 
+import hashlib
+import random
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,3 +241,40 @@ class TestTimeIndependence:
             fr = rotate(m, drive)
             at = transform_at(m, drive, 1.234, fr.K)
             assert np.abs(at - fr.h_tilde).max() < 1e-12
+
+
+# sha256 of ``rotate`` on ``pinned_drives()``; the frame is built on
+# Python floats, so any change to its operation order moves the digest.
+ROTATE_DIGEST = "af781bd101ce0b5834ba7a03e89b384ef2ce7b29164b99ea3508bc68b68e85bb"
+
+
+def pinned_drives(count=200):
+    """Off-resonant drives on the catalog's scales, ``random.Random(2014)``:
+    splittings 0.5-3, couplings 0.05-1, every transition detuned by up to
+    +-0.5."""
+    rng = random.Random(2014)
+    drives = []
+    for _ in range(count):
+        m = rng.choice(catalog())
+        omega = tuple(rng.uniform(0.5, 3.0) for _ in range(3))
+        energies = m.energies(omega).tolist()
+        transitions = m.sorted_transitions()
+        drives.append((m, DriveParams(
+            omega=omega,
+            field_freq={(a, b): (energies[a - 1] - energies[b - 1]) - rng.uniform(-0.5, 0.5)
+                        for a, b in transitions},
+            coupling={tr: rng.uniform(0.05, 1.0) for tr in transitions},
+        )))
+    return drives
+
+
+class TestPinnedBits:
+    def test_rotate_digest(self):
+        digest = hashlib.sha256()
+        for m, drive in pinned_drives():
+            fr = rotate(m, drive)
+            for array in (fr.h_tilde, fr.K, fr.diag_detunings):
+                digest.update(np.asarray(array).astype("<f8").tobytes())
+            for (a, b), value in fr.detunings.items():
+                digest.update(struct.pack("<bbd", a, b, value))
+        assert digest.hexdigest() == ROTATE_DIGEST

@@ -1,5 +1,8 @@
 """Jacobi eigensolver, six-angle factorization, and exact propagation."""
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -371,3 +374,48 @@ class TestEigenSystemType:
             es.eigenvalues[0] = 9.0
         with pytest.raises(ValueError):
             es.diagonalizer[0, 0] = 9.0
+
+
+# Decades of the pinned draw, parsed from literals (no libm power).
+PIN_SCALES = tuple(float(f"1e{k}") for k in range(-8, 9))
+# sha256 of the Jacobi output for ``pinned_matrices()``. The Jacobi
+# arithmetic runs on Python floats (sqrt, hypot, copysign, frexp, ldexp),
+# so the digest holds on every supported Python; a change to the solver's
+# operation order moves it.
+JACOBI_DIGEST = "2d90103f80ddcdeb5b38a7e96957710fc5cdea5a08670a34a840aa05946bf70b"
+
+
+def pinned_matrices(count=3000):
+    """Symmetric 4x4 matrices as nested Python floats, ``random.Random(2014)``:
+    entries uniform in [-s, s] for a decade s in 1e-8..1e8, each off-diagonal
+    entry zero with probability 1/5 (the skipped-rotation path), and every
+    tenth matrix a zero-diagonal persymmetric ladder (palindromic
+    eigenvectors, the sign-tie path)."""
+    rng = random.Random(2014)
+    matrices = []
+    for k in range(count):
+        s = rng.choice(PIN_SCALES)
+        rows = [[0.0] * 4 for _ in range(4)]
+        if k % 10 == 9:
+            a, b = rng.uniform(0.0, s), rng.uniform(0.0, s)
+            for p, x in ((0, a), (1, b), (2, a)):
+                rows[p][p + 1] = rows[p + 1][p] = x
+        else:
+            for p in range(4):
+                rows[p][p] = rng.uniform(-s, s)
+            for p, q in PLANES:
+                if rng.random() >= 0.2:
+                    rows[p][q] = rows[q][p] = rng.uniform(-s, s)
+        matrices.append(rows)
+    return matrices
+
+
+class TestPinnedBits:
+    def test_jacobi_digest(self):
+        digest = hashlib.sha256()
+        for rows in pinned_matrices():
+            es = jacobi_eigh(np.array(rows))
+            digest.update(es.eigenvalues.astype("<f8").tobytes())
+            digest.update(es.diagonalizer.astype("<f8").tobytes())
+            digest.update(es.sweeps.to_bytes(2, "little"))
+        assert digest.hexdigest() == JACOBI_DIGEST
