@@ -20,6 +20,7 @@ from .algebra import (
 from .dynamics import (
     FrameSolution,
     rk4_solve,
+    rk4_solve_many,
     solve_frame,
     trace_via_spectral,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "jacobi_eigh",
     "resonant_drive",
     "rk4_solve",
+    "rk4_solve_many",
     "rotate",
     "solve_frame",
     "spin32_reduction",

@@ -133,13 +133,6 @@ class VerificationReport:
     def max_residual(self) -> float:
         return max(self.residuals.values())
 
-    def summary(self) -> str:
-        status = "ok" if self.passed else f"FAIL ({self.first_failure})"
-        return (
-            f"algebra identities: max residual {self.max_residual:.3e} "
-            f"(tolerance {self.tolerance:.0e}) {status}"
-        )
-
 
 def _entry(t: np.ndarray, i: int, j: int, k: int) -> float:
     if not all(1 <= n <= N_GENERATORS for n in (i, j, k)):

@@ -14,43 +14,25 @@ resulting ``FrameSolution`` evaluates any number of initial states on a
 grid from one pair of phase planes, cos(L t) and sin(L t). Each state's
 real and imaginary parts are one real (8, 8) @ (8, n) GEMM of the planes,
 and its populations are re^2 + im^2. ``trace_via_spectral`` is the
-one-state shorthand.
+one-state shorthand. Short or non-uniform grids take one cos and one sin
+per value; long uniform ones take an angle-addition table
+(``_table_planes``). The table adds at most 9u max|L| max|t| (u = 2^-53)
+to the phases, measured 2.8u on the figure grids and 5.3u on grids
+crossing zero: below the eigenvalues' own backward error (7.9u max|L| for
+the Jacobi solver), which the phase budget u max|L| max|t| <= 1e-6 covers.
 
-The planes take one of two paths. A grid of fewer than
-``_TABLE_MIN_POINTS`` times, or one that is not uniform, takes one cos and
-one sin per value. A uniform grid (within 4u max|t|, u = 2^-53, of the
-times ``numpy.linspace`` forms between its ends) of at least that many
-times takes a table: time j b + i (b = isqrt(n)) is the anchor t[j b] plus
-the offset t[i] - t[0], cos and sin are taken at the sqrt(n) anchors and
-offsets only, and one batched product combines them by angle addition. The
-crossover is measured, where the table's fixed cost of about 27 us meets
-about 0.09 us per grid point. The table adds the rounding of the grid's
-formation and of its products to the phase argument: at most 9u max|L|
-max|t| against the per-value planes, measured 2.8u max|L| max|t| on the
-figure grids and 5.3u on grids crossing zero. The measured error is below
-that of the eigenvalues themselves, whose backward error (7.9u max|L|
-measured for the Jacobi solver) the phase budget u max|L| max|t| <= 1e-6
-already covers.
-
-The RK4 route runs in real arithmetic. A complex 4-vector x + i y is the
-real 8-vector [x; y], on which -i H acts as the real 8x8 block
-[[Im H, Re H], [-Re H, Im H]]. The lab-frame Hamiltonian comes from one
-generator table (``models.hamiltonian_table``), H(t) = E + sum_ab kappa_ab
-(cos(w_ab t) X_ab + sin(w_ab t) Y_ab); its seven generators become real
-8x8 blocks once per call, and one (3n, 7) @ (7, 64) GEMM of the weights
-[1, kappa cos(w t), kappa sin(w t)] samples -i H at the three stage times of
-n steps. Each sampled entry is one nonzero product, so the samples equal the
-blocks of ``-1j * hamiltonian_t`` exactly. The stages K1..K4 and the step
-maps M_n are real batched products.
-
-The march is linear, x_{n+1} = M_n x_n, so it runs as a prefix product of
-the step maps rather than one array call per step. Within each block of
-steps the maps are split into about sqrt(m) groups of b = isqrt(m) steps.
-b - 1 batched products form every group's running products at once, a
-short loop carries the state from one group start to the next, and one
-batched product gives every state. The work stays O(m) matrix products,
-and the Python-level calls drop from m to about 2 sqrt(m). The
-populations are x^2 + y^2.
+The RK4 route runs in real arithmetic: a complex 4-vector x + i y is the
+real 8-vector [x; y], on which -i H acts as [[Im H, Re H], [-Re H, Im H]].
+Each model holds these blocks of its seven generators once
+(``ModelConfig.generator_blocks``); a call fills in its drive's energies,
+couplings and frequencies, and one GEMM samples -i H exactly at the three
+stage times of every step. The stages and the step maps M_n are real
+batched products. The march x_{n+1} = M_n x_n is linear, so one build of
+the maps serves an (8, k) block of k start states: ``rk4_solve_many``
+marches every state of a (model, drive) at once, ``rk4_solve`` is its
+one-state case, and ``_march`` runs each block of m steps as a
+group-major two-level prefix product in about 2 sqrt(m) Python-level
+calls. The populations are x^2 + y^2.
 """
 
 from __future__ import annotations
@@ -78,6 +60,7 @@ from .spectral import EigenSystem, jacobi_eigh
 __all__ = [
     "FrameSolution",
     "rk4_solve",
+    "rk4_solve_many",
     "solve_frame",
     "trace_via_spectral",
 ]
@@ -98,26 +81,6 @@ def _check_grid(t_grid) -> tuple[np.ndarray, float]:
     return t_grid, t_abs
 
 
-def _sample_generator(table: HamiltonianTable, times: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """-i H(t) as real 8x8 blocks at every time, shape ``times.shape + (8, 8)``.
-
-    A complex 4-vector x + i y is the real 8-vector [x; y], on which -i G
-    acts as [[Im G, Re G], [-Re G, Im G]]. The seven generators become such
-    blocks, and one (len, 7) @ (7, 64) GEMM with the table's coefficients
-    samples every time into ``out``, a C-contiguous array of the result's
-    size. Each entry holds one nonzero product, so the blocks equal those of
-    ``-1j * hamiltonian_t`` exactly.
-    """
-    re, im = table.generators.real, table.generators.imag
-    blocks = np.empty((len(re), 8, 8))
-    blocks[:, :4, :4] = blocks[:, 4:, 4:] = im
-    blocks[:, :4, 4:] = re
-    np.negative(re, out=blocks[:, 4:, :4])
-    samples = np.matmul(table.coefficients(times.reshape(-1)).T, blocks.reshape(-1, 64),
-                        out=out.reshape(times.size, 64))
-    return samples.reshape(times.shape + (8, 8))
-
-
 def _stage(a: np.ndarray, k: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
     """a (I + scale k) = a + scale (a @ k) for each map, written into ``out``."""
     np.matmul(a, k, out=out)
@@ -131,19 +94,17 @@ def _rk4_step_matrices(
 ) -> np.ndarray:
     """Classic RK4 step maps M_n, x_{n+1} = M_n x_n, for steps starting at ``times``.
 
-    Real (n, 8, 8) maps on row-ordered real 8-vectors [Re c; Im c]. For the
-    linear equation dC/dt = A(t) C, A = -i H(t), the four stages are
-    matrices: K1 = A(t), K2 = A(t + h/2)(I + h/2 K1), K3 = A(t + h/2)(I +
-    h/2 K2), K4 = A(t + h)(I + h K3), and M = I + h/6 (K1 + 2 K2 + 2 K3 +
-    K4). A is sampled once, at the three stage times of every step. The
-    samples and the later stages fill ``work``, a flat buffer of at least
-    6 * 64 n floats that every block of a march reuses, and the maps are
-    returned in it.
+    Real (n, 8, 8) maps on [Re c; Im c] in row order. For dC/dt = A(t) C,
+    A = -i H(t), the stages are matrices: K1 = A(t), K2 = A(t + h/2)(I + h/2
+    K1), K3 = A(t + h/2)(I + h/2 K2), K4 = A(t + h)(I + h K3), and M = I +
+    h/6 (K1 + 2 K2 + 2 K3 + K4). The samples of A and the stages fill
+    ``work``, a flat buffer of at least 6 * 64 n floats that every block of a
+    march reuses, and the maps are returned in it.
     """
     n = times.size
     work = work[: 6 * 64 * n].reshape(6, n, 8, 8)
-    stage_times = times + np.array([[0.0], [0.5 * h], [h]])
-    k1, a_mid, a_end = _sample_generator(table, stage_times, work[:3])
+    stage_times = np.add.outer((0.0, 0.5 * h, h), times)
+    k1, a_mid, a_end = table.sample(stage_times, out=work[:3])
     k2 = _stage(a_mid, k1, 0.5 * h, work[3])
     k3 = _stage(a_mid, k2, 0.5 * h, work[4])
     k4 = _stage(a_end, k3, h, work[5])
@@ -157,31 +118,32 @@ def _rk4_step_matrices(
     return k2
 
 
-def _march(maps: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Row k is maps[k] @ ... @ maps[0] @ state, for each of the m real maps.
+def _march(maps: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Slice n is maps[n] @ ... @ maps[0] @ start, for m real maps and an
+    (8, k) block of start states; shape (m, 8, k).
 
-    Two-level prefix product: group j holds steps j b .. j b + b - 1, with
-    b = isqrt(m); identity maps pad the last group. prefix[i, j] is the
-    product of the first i + 1 steps of group j, built for all groups per
-    call; the state at each group start follows from the previous start and
-    that group's full product.
+    Group j holds steps j b .. j b + b - 1, b = isqrt(m), and identity maps
+    pad the last group. Group-major, prefix[j, i] is the product of the
+    first i + 1 steps of group j; the block at each group start follows
+    from the previous one and that group's full product, and a group's
+    states are one (b 8, 8) @ (8, k) GEMM of its prefix with its start.
     """
-    m = len(maps)
+    m, k = len(maps), start.shape[1]
     b = math.isqrt(m)
     groups = -(-m // b)
     if groups * b > m:
         maps = np.concatenate((maps, np.broadcast_to(np.eye(8), (groups * b - m, 8, 8))))
-    steps = maps.reshape(groups, b, 8, 8).swapaxes(0, 1)
-    prefix = np.empty((b, groups, 8, 8))
-    prefix[0] = steps[0]
+    steps = maps.reshape(groups, b, 8, 8)
+    prefix = np.empty((groups, b, 8, 8))
+    prefix[:, 0] = steps[:, 0]
     for i in range(1, b):
-        np.matmul(steps[i], prefix[i - 1], out=prefix[i])
-    starts = np.empty((groups, 8))
-    starts[0] = state
+        np.matmul(steps[:, i], prefix[:, i - 1], out=prefix[:, i])
+    starts = np.empty((groups, 8, k))
+    starts[0] = start
     for j in range(groups - 1):
-        np.matmul(prefix[-1, j], starts[j], out=starts[j + 1])
-    states = prefix @ starts[:, :, None]  # (b, groups, 8, 1)
-    return states.swapaxes(0, 1).reshape(groups * b, 8)[:m]
+        np.matmul(prefix[j, -1], starts[j], out=starts[j + 1])
+    states = np.matmul(prefix.reshape(groups, b * 8, 8), starts)
+    return states.reshape(groups * b, 8, k)[:m]
 
 
 # Steps whose matrices are built at once; bounds memory on long grids.
@@ -190,65 +152,84 @@ _RK4_BLOCK = 4096
 _RK4_NORM_TOL = 1e-6
 
 
-def rk4_solve(
-    model: ModelConfig, drive: DriveParams, c0: StateVector, t_grid
-) -> tuple[PopulationTrace, StateVector]:
-    """Fixed-step RK4 march of the lab-frame equation over a uniform grid.
+def rk4_solve_many(
+    model: ModelConfig, drive: DriveParams, states: Sequence[StateVector], t_grid
+) -> list[tuple[PopulationTrace, StateVector]]:
+    """Fixed-step RK4 march of several initial states over a uniform grid.
 
-    Records populations at every grid point. The step matrices use only
-    samples of the lab-frame H(t), never the rotating frame. Each block of
-    up to 4096 steps is built as real 8x8 maps from one GEMM of H(t)
-    samples and marched as a two-level prefix product of its step maps
-    (``_march``). A grid that is non-finite, not strictly increasing, not
-    uniform or whose spacing overflows is a ConfigurationError. Raises NumericsError when the state leaves the
-    finite range or its final norm drifts from 1 by more than 1e-6 (the
-    step size was far too coarse for the couplings involved).
+    One (trace, final state) pair per state, in order; each trace holds the
+    populations at every grid point. The step maps of each block of up to
+    4096 steps use only samples of the lab-frame H(t), never the rotating
+    frame, and are built once for all states. An empty state list, or a
+    grid that is non-finite, not strictly increasing, not uniform or whose
+    spacing overflows, is a ConfigurationError. NumericsError when a state
+    leaves the finite range or its final norm drifts from 1 by more than
+    1e-6 (the step was far too coarse for the couplings involved).
     """
+    k = len(states)
+    if k == 0:
+        raise ConfigurationError("rk4_solve_many needs at least one initial state")
     table = hamiltonian_table(model, drive)
     t_grid, t_abs = _check_grid(t_grid)
-    with np.errstate(over="ignore"):
-        spacings = np.diff(t_grid)
-    if not np.all(np.isfinite(spacings)):
-        raise ConfigurationError(
-            f"time grid spacing overflows to inf (max|t| = {t_abs:.3e});"
-            " a step between two grid times must be a finite float"
-        )
-    t0, n_steps = float(t_grid[0]), spacings.size
-    h = float(spacings[0]) if n_steps else 0.0
-    if np.any(spacings <= 0):
-        raise ConfigurationError("time grid must be strictly increasing")
-    if np.any(np.abs(spacings - h) > 1e-9 * max(1.0, abs(h))):
-        raise ConfigurationError("time grid must be uniform for fixed-step RK4")
-
-    c_rows = to_row_order(c0.amplitudes)
-    states = np.empty((n_steps + 1, 8))
-    states[0] = np.concatenate((c_rows.real, c_rows.imag))
-    # one buffer for the samples, stages and maps of every block
-    work = np.empty(6 * min(_RK4_BLOCK, n_steps) * 64)
-    # a divergent march must overflow to inf/nan silently; the isfinite
-    # check below turns it into a NumericsError
+    t0, n_steps, h = float(t_grid[0]), t_grid.size - 1, 0.0
+    # a spacing or a divergent march must overflow to inf/nan silently; the
+    # checks below turn that into a ConfigurationError or a NumericsError
     with np.errstate(over="ignore", invalid="ignore"):
+        if n_steps:
+            spacings = t_grid[1:] - t_grid[:-1]
+            lo, hi = float(spacings.min()), float(spacings.max())
+            if math.isinf(lo) or math.isinf(hi):
+                raise ConfigurationError(
+                    f"time grid spacing overflows to inf (max|t| = {t_abs:.3e});"
+                    " a step between two grid times must be a finite float"
+                )
+            if lo <= 0:
+                raise ConfigurationError("time grid must be strictly increasing")
+            h = float(spacings[0])
+            # rounding is monotone, so this is the largest |spacing - h|
+            if max(hi - h, h - lo) > 1e-9 * max(1.0, abs(h)):
+                raise ConfigurationError("time grid must be uniform for fixed-step RK4")
+
+        marched = np.empty((n_steps + 1, 8, k))
+        c_rows = np.array([to_row_order(c0.amplitudes) for c0 in states]).T
+        marched[0, :4] = c_rows.real
+        marched[0, 4:] = c_rows.imag
+        # one buffer for the samples, stages and maps of every block
+        work = np.empty(6 * min(_RK4_BLOCK, n_steps) * 64)
         for start in range(0, n_steps, _RK4_BLOCK):
             stop = min(start + _RK4_BLOCK, n_steps)
-            times = t0 + np.arange(start, stop) * h
+            times = np.arange(start, stop) * h
+            times += t0
             maps = _rk4_step_matrices(table, times, h, work)
-            states[start + 1 : stop + 1] = _march(maps, states[start])
-        pops_rows = states[:, :4] ** 2 + states[:, 4:] ** 2
+            marched[start + 1 : stop + 1] = _march(maps, marched[start])
+        finals = marched[-1, :4] + 1j * marched[-1, 4:]
+        marched *= marched
+        pops_rows = marched[:, :4] + marched[:, 4:]
 
-    if not np.all(np.isfinite(pops_rows)):
+    if not np.isfinite(pops_rows).all():
         raise NumericsError(
             "RK4 state became non-finite; reduce the step size or the couplings"
         )
-    drift = abs(float(pops_rows[-1].sum()) - 1.0)
-    if drift > _RK4_NORM_TOL:
-        raise NumericsError(
-            f"RK4 state norm drifted from 1 by {drift:.2e} (tol {_RK4_NORM_TOL:.0e})"
-            f" at step size h = {h:.6g}; reduce the step size or the couplings"
-        )
-    trace = PopulationTrace(times=t_grid, populations=pops_rows[:, ::-1].copy())
-    final_rows = states[-1, :4] + 1j * states[-1, 4:]
-    final = StateVector(to_level_order(final_rows), norm_tol=_RK4_NORM_TOL)
-    return trace, final
+    results = []
+    for j in range(k):
+        drift = abs(float(pops_rows[-1, :, j].sum()) - 1.0)
+        if drift > _RK4_NORM_TOL:
+            which = f" of initial state {j}" if k > 1 else ""
+            raise NumericsError(
+                f"RK4 state norm{which} drifted from 1 by {drift:.2e} (tol {_RK4_NORM_TOL:.0e})"
+                f" at step size h = {h:.6g}; reduce the step size or the couplings"
+            )
+        trace = PopulationTrace(times=t_grid, populations=pops_rows[:, ::-1, j].copy())
+        results.append((trace, StateVector(to_level_order(finals[:, j]), norm_tol=_RK4_NORM_TOL)))
+    return results
+
+
+def rk4_solve(
+    model: ModelConfig, drive: DriveParams, c0: StateVector, t_grid
+) -> tuple[PopulationTrace, StateVector]:
+    """The one-state case of ``rk4_solve_many``, with the same checks and errors."""
+    (result,) = rk4_solve_many(model, drive, [c0], t_grid)
+    return result
 
 
 _UNIT_ROUNDOFF = 2.0**-53

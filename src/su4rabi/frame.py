@@ -104,7 +104,7 @@ def rotate(model: ModelConfig, drive: DriveParams) -> RotatingFrame:
     """Build the time-independent frame matrix and its detunings."""
     k_levels = frame_generator(model, drive)
     k1, k2, k3, k4 = k_levels.tolist()
-    energies = e1, e2, e3, e4 = model.energies(drive.omega).tolist()
+    energies = e1, e2, e3, e4 = model.energies(drive.omega)
     diag_det = d1, d2, d3, d4 = [e1 + k1, e2 + k2, e3 + k3, e4 + k4]
 
     # row order: level 4 first
@@ -162,7 +162,7 @@ def resonant_drive(
     """Drive with every field frequency set to its level gap E_a - E_b."""
     # Python floats: a gap that overflows becomes inf without a RuntimeWarning.
     # It is reported under omega, the input; DriveParams names a non-finite w_i.
-    energies = model.energies(omega).tolist()
+    energies = model.energies(omega)
     field_freq = {(a, b): energies[a - 1] - energies[b - 1] for (a, b) in model.allowed}
     overflow = [tr for tr, gap in field_freq.items() if not math.isfinite(gap)]
     if overflow and all(math.isfinite(w) for w in omega):

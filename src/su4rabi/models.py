@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,13 +39,12 @@ def row_of(level: int) -> int:
 
 
 def to_row_order(level_vec: np.ndarray) -> np.ndarray:
-    """Reverse a level-ordered 4-vector into matrix row order."""
+    """Reverse a level-ordered 4-vector into matrix row order, or a
+    row-ordered one into level order: the reversal is its own inverse."""
     return np.asarray(level_vec)[::-1]
 
 
-def to_level_order(row_vec: np.ndarray) -> np.ndarray:
-    """Reverse a row-ordered 4-vector into level order."""
-    return np.asarray(row_vec)[::-1]
+to_level_order = to_row_order
 
 
 class ModelId(str, enum.Enum):
@@ -74,16 +74,35 @@ class ModelConfig:
     energy_coeffs: tuple[tuple[float, float, float], ...]
     diagonal_ops: tuple[str, str, str]
 
-    def energies(self, omega: tuple[float, float, float]) -> np.ndarray:
-        """Level energies (E1, E2, E3, E4) for splittings ``omega``."""
-        w = np.asarray(omega, dtype=float)
-        if w.shape != (3,):
-            raise ConfigurationError("omega must hold exactly three splittings")
-        w1, w2, w3 = w.tolist()
-        return np.array([c1 * w1 + c2 * w2 + c3 * w3 for c1, c2, c3 in self.energy_coeffs])
+    def energies(self, omega: tuple[float, float, float]) -> list[float]:
+        """Level energies [E1, E2, E3, E4], Python floats, for splittings ``omega``."""
+        try:
+            w1, w2, w3 = map(float, omega)
+        except (TypeError, ValueError):
+            raise ConfigurationError("omega must hold exactly three splittings") from None
+        return [c1 * w1 + c2 * w2 + c3 * w3 for c1, c2, c3 in self.energy_coeffs]
 
     def sorted_transitions(self) -> tuple[Transition, ...]:
+        return self._sorted_transitions
+
+    @cached_property
+    def _sorted_transitions(self) -> tuple[Transition, ...]:
         return tuple(sorted(self.allowed, reverse=True))
+
+    @cached_property
+    def generator_blocks(self) -> np.ndarray:
+        """The real 8x8 blocks [[Im G, Re G], [-Re G, Im G]] of -i G for G = E,
+        X_1..X_3, Y_1..Y_3 (see HamiltonianTable), read-only (7, 64); E = 0."""
+        transitions = self.sorted_transitions()
+        n = len(transitions)
+        g = np.zeros((1 + 2 * n, 4, 4), dtype=complex)
+        for k, (a, b) in enumerate(transitions, start=1):
+            ra, rb = row_of(a), row_of(b)
+            g[k, ra, rb] = g[k, rb, ra] = 1.0
+            g[n + k, ra, rb], g[n + k, rb, ra] = -1j, 1j
+        blocks = np.block([[g.imag, g.real], [-g.real, g.imag]]).reshape(len(g), 64)
+        blocks.setflags(write=False)
+        return blocks
 
 
 _CATALOG_DATA = [
@@ -112,6 +131,7 @@ _CATALOG = tuple(
     )
     for mid, allowed, coeffs, ops in _CATALOG_DATA
 )
+_BY_ID = {m.id: m for m in _CATALOG}
 
 
 def catalog() -> tuple[ModelConfig, ...]:
@@ -120,11 +140,7 @@ def catalog() -> tuple[ModelConfig, ...]:
 
 
 def get_model(mid: ModelId | str) -> ModelConfig:
-    mid = ModelId(mid)
-    for m in _CATALOG:
-        if m.id is mid:
-            return m
-    raise ConfigurationError(f"unknown model {mid!r}")
+    return _BY_ID[ModelId(mid)]
 
 
 @dataclass(frozen=True)
@@ -153,9 +169,9 @@ class DriveParams:
                 raise ConfigurationError(f"coupling for {pair} is negative: {k}")
 
     def validate_for(self, model: ModelConfig) -> None:
-        for name, keys in (("field_freq", self.field_freq), ("coupling", self.coupling)):
-            got = frozenset(keys)
-            if got != model.allowed:
+        for name, values in (("field_freq", self.field_freq), ("coupling", self.coupling)):
+            if values.keys() != model.allowed:
+                got = frozenset(values)
                 extra = sorted(got - model.allowed)
                 missing = sorted(model.allowed - got)
                 raise ConfigurationError(
@@ -170,42 +186,46 @@ class HamiltonianTable:
 
     H(t) = E + sum_ab kappa_ab (cos(w_ab t) X_ab + sin(w_ab t) Y_ab), with
     X_ab = E_ab + E_ba and Y_ab = -i E_ab + i E_ba over the allowed
-    transitions in row order. ``generators`` holds (E, X_1..X_3, Y_1..Y_3)
-    as a (7, 4, 4) complex array; ``coefficients`` gives the matching
-    weights (1, kappa cos(w t), kappa sin(w t)) at any times. Every matrix
-    entry draws on exactly one generator, so a GEMM of the two is exact:
-    each sum holds one nonzero product.
+    transitions in row order. ``blocks`` holds -i E, -i X and -i Y as real
+    8x8 blocks, and ``sample`` weighs them by (1, kappa cos(w t), kappa
+    sin(w t)). Every matrix entry draws on exactly one generator, so the
+    GEMM is exact: each sum holds one nonzero product.
     """
 
-    generators: np.ndarray
+    blocks: np.ndarray
     kappa: np.ndarray
     freq: np.ndarray
 
-    def coefficients(self, t) -> np.ndarray:
-        """The generator weights at each time, shape ``(7,) + t.shape``."""
-        theta = np.multiply.outer(self.freq, np.asarray(t, dtype=float))
-        kappa = self.kappa.reshape(self.kappa.shape + (1,) * (theta.ndim - 1))
-        n = len(kappa)
-        coeffs = np.empty((1 + 2 * n,) + theta.shape[1:])
+    def sample(self, t, out: np.ndarray | None = None) -> np.ndarray:
+        """-i H as real 8x8 blocks [[Im H, Re H], [-Re H, Im H]] at each time,
+        shape ``t.shape + (8, 8)``: one (len, 7) @ (7, 64) GEMM, written into
+        ``out`` (C-contiguous, of the result's size) when one is given."""
+        t = np.asarray(t, dtype=float)
+        n = len(self.kappa)
+        coeffs = np.empty((1 + 2 * n, t.size))
         coeffs[0] = 1.0
-        np.multiply(kappa, np.cos(theta), out=coeffs[1 : 1 + n])
-        np.multiply(kappa, np.sin(theta), out=coeffs[1 + n :])
-        return coeffs
+        theta = np.multiply.outer(self.freq, t.reshape(-1))
+        np.cos(theta, out=coeffs[1 : 1 + n])
+        np.sin(theta, out=coeffs[1 + n :])
+        weights = coeffs[1:].reshape(2, n, t.size)
+        weights *= self.kappa[:, None]
+        if out is not None:
+            out = out.reshape(t.size, 64)
+        return np.matmul(coeffs.T, self.blocks, out=out).reshape(t.shape + (8, 8))
 
 
 def hamiltonian_table(model: ModelConfig, drive: DriveParams) -> HamiltonianTable:
-    """The generator table of ``model`` under ``drive`` (see HamiltonianTable)."""
+    """The generator table of ``model`` under ``drive``: the model's static
+    blocks with the drive's energies, E_i at flat positions 4, 13, 22, 31
+    of the first block and -E_i at 32, 41, 50, 59 (row order)."""
     drive.validate_for(model)
     transitions = model.sorted_transitions()
-    n = len(transitions)
-    generators = np.zeros((1 + 2 * n, 4, 4), dtype=complex)
-    generators[0] = np.diag(to_row_order(model.energies(drive.omega)))
-    for k, (a, b) in enumerate(transitions, start=1):
-        ra, rb = row_of(a), row_of(b)
-        generators[k, ra, rb] = generators[k, rb, ra] = 1.0
-        generators[n + k, ra, rb], generators[n + k, rb, ra] = -1j, 1j
+    blocks = model.generator_blocks.copy()
+    energy = blocks[0]
+    energy[4:32:9] = model.energies(drive.omega)[::-1]
+    np.negative(energy[4:32:9], out=energy[32::9])
     return HamiltonianTable(
-        generators=generators,
+        blocks=blocks,
         kappa=np.array([drive.coupling[tr] for tr in transitions]),
         freq=np.array([drive.field_freq[tr] for tr in transitions]),
     )
@@ -215,14 +235,14 @@ def hamiltonian_t(model: ModelConfig, drive: DriveParams, t) -> np.ndarray:
     """The lab-frame matrix at time ``t``: level energies on the diagonal,
     ``kappa_ab exp(-i w_ab t)`` above it for each allowed transition.
 
-    An array of times gives one matrix per time, shape ``t.shape + (4, 4)``.
-    It is one real GEMM of the table's coefficients with the interleaved
-    real and imaginary planes of its generators.
+    An array of times gives one matrix per time, shape ``t.shape + (4, 4)``,
+    read from the top row of the table's samples.
     """
-    table = hamiltonian_table(model, drive)
-    coeffs = table.coefficients(t).reshape(len(table.generators), -1)
-    planes = coeffs.T @ table.generators.view(float).reshape(len(coeffs), 32)
-    return planes.view(complex).reshape(np.shape(t) + (4, 4))
+    samples = hamiltonian_table(model, drive).sample(t)
+    h = np.empty(samples.shape[:-2] + (4, 4), dtype=complex)
+    h.real = samples[..., :4, 4:]
+    h.imag = samples[..., :4, :4]
+    return h
 
 
 def hamiltonian_shift_form(

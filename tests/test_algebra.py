@@ -229,6 +229,3 @@ class TestVerifyAlgebra:
         assert "commutation" in report.failures
         # residual is 2 |delta f| times the unit generator entry
         assert report.residuals["commutation"] >= 0.1
-
-    def test_summary_mentions_residual(self):
-        assert "residual" in verify_algebra(GENS, CONSTS).summary()

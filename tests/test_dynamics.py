@@ -21,9 +21,9 @@ from su4rabi.dynamics import (
     _phase_planes,
     _pointwise_planes,
     _rk4_step_matrices,
-    _sample_generator,
     _table_planes,
     rk4_solve,
+    rk4_solve_many,
     solve_frame,
     trace_via_spectral,
 )
@@ -36,6 +36,7 @@ from su4rabi.models import (
     get_model,
     hamiltonian_t,
     hamiltonian_table,
+    row_of,
     to_level_order,
     to_row_order,
 )
@@ -246,6 +247,85 @@ class TestRk4Solve:
         assert np.abs(trace.populations[-1] - final.populations()).max() < 1e-15
 
 
+OVERFLOW = r"^time grid spacing overflows to inf \(max\|t\| = 1\.500e\+308\); a step between two grid times must be a finite float$"
+NOT_INCREASING = r"^time grid must be strictly increasing$"
+NOT_UNIFORM = r"^time grid must be uniform for fixed-step RK4$"
+# 1e-9 * max(1, |h|) at h = 1e-9: the uniformity tolerance of a small step
+TOL = 1e-9
+
+
+class TestRk4GridCheck:
+    """Each grid outcome of ``rk4_solve``, with its exception and message
+    (the one-point grid: ``TestRk4Solve``).
+
+    The uniformity test is two-sided: a spacing off from the first by
+    exactly 1e-9 max(1, |h|) passes, and the next float past it fails, on
+    either side of h and on both branches of max(1, |h|). Every spacing
+    below is exact in binary, so the grids probe the comparison itself.
+    """
+
+    @staticmethod
+    def solve(grid, drive=CHAIN_DRIVE):
+        return rk4_solve(MODEL_I, drive, StateVector.basis(1), np.array(grid))
+
+    def test_spacing_above_h_by_the_tolerance_passes(self):
+        # h = TOL, then 2 TOL: off by exactly TOL
+        trace, _ = self.solve([-TOL, 0.0, 2 * TOL])
+        assert trace.populations.shape == (3, 4)
+
+    def test_spacing_one_float_further_above_fails(self):
+        with pytest.raises(ConfigurationError, match=NOT_UNIFORM):
+            self.solve([-TOL, 0.0, np.nextafter(2 * TOL, 1.0)])
+
+    def test_spacing_below_h_by_the_tolerance_passes(self):
+        # h = 2 TOL, then TOL
+        trace, _ = self.solve([-2 * TOL, 0.0, TOL])
+        assert trace.populations.shape == (3, 4)
+
+    def test_spacing_one_float_further_below_fails(self):
+        with pytest.raises(ConfigurationError, match=NOT_UNIFORM):
+            self.solve([-2 * TOL, 0.0, np.nextafter(TOL, 0.0)])
+
+    def test_tolerance_scales_with_a_large_step(self):
+        # h = 1e9: the tolerance is 1e-9 |h| = 1.0 exactly; H(t) = 0 keeps
+        # the march stable at any step
+        drive = resonant_drive(MODEL_I, (0.0, 0.0, 0.0), {tr: 0.0 for tr in MODEL_I.allowed})
+        for last in (2e9 + 1.0, 2e9 - 1.0):
+            trace, _ = self.solve([0.0, 1e9, last], drive)
+            assert np.array_equal(trace.populations[-1], [1.0, 0.0, 0.0, 0.0])
+        for last in (np.nextafter(2e9 + 1.0, np.inf), np.nextafter(2e9 - 1.0, 0.0)):
+            with pytest.raises(ConfigurationError, match=NOT_UNIFORM):
+                self.solve([0.0, 1e9, last], drive)
+
+    def test_two_point_grid_is_one_step(self):
+        trace, _ = self.solve([0.0, 1e-3])
+        assert trace.times.tolist() == [0.0, 1e-3]
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.0], [0.0, -1.0]])
+    def test_two_point_grid_must_increase(self, grid):
+        with pytest.raises(ConfigurationError, match=NOT_INCREASING):
+            self.solve(grid)
+
+    def test_interior_repeated_time(self):
+        with pytest.raises(ConfigurationError, match=NOT_INCREASING):
+            self.solve([0.0, 0.125, 0.125, 0.25])
+
+    def test_decreasing_step(self):
+        # the decrease is reported before the non-uniformity it also causes
+        with pytest.raises(ConfigurationError, match=NOT_INCREASING):
+            self.solve([0.0, 0.125, 0.25, 0.1875])
+
+    @pytest.mark.parametrize(
+        "grid", [[-1.5e308, 1.5e308], [1.5e308, -1.5e308], [0.0, 1.0, -1.5e308, 1.5e308]]
+    )
+    def test_overflowing_spacing(self, grid):
+        # an overflow to -inf is reported as an overflow, before the decrease
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=OVERFLOW):
+                self.solve(grid)
+
+
 def complex_step_maps(model, drive, times, h):
     """Complex 4x4 RK4 step maps of -i H(t), stage by stage from hamiltonian_t.
 
@@ -306,6 +386,48 @@ def off_resonant_drive(model):
     return DriveParams(omega=OMEGA, field_freq=fields, coupling=coupling)
 
 
+class TestBlockMarch:
+    """``rk4_solve_many`` marches an (8, k) block of states through one build
+    of the step maps; each column must lie within 1e-13 of its own march.
+
+    The step counts are those of ``TestTwoLevelMarch``: a single step,
+    groups that do not fill a square, and both sides of the block boundary.
+    """
+
+    STATES = [StateVector.basis(level) for level in (1, 2, 3, 4)] + [
+        StateVector(np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)),
+        StateVector(np.array([0.6, 0.0, 0.48 - 0.64j, 0.0], dtype=complex)),
+    ]
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 99, 100, 4095, 4096, 4097, 8193])
+    def test_columns_match_single_marches(self, n_steps):
+        model = get_model("IV")
+        drive = off_resonant_drive(model)
+        grid = 0.3 + np.arange(n_steps + 1) * 5e-3
+        marched = rk4_solve_many(model, drive, self.STATES, grid)
+        assert len(marched) == len(self.STATES)
+        for c0, (trace, final) in zip(self.STATES, marched):
+            single_trace, single_final = rk4_solve(model, drive, c0, grid)
+            assert np.array_equal(trace.times, single_trace.times)
+            assert np.abs(trace.populations - single_trace.populations).max() < 1e-13
+            assert np.abs(final.amplitudes - single_final.amplitudes).max() < 1e-13
+
+    def test_empty_state_list_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="at least one initial state"):
+            rk4_solve_many(MODEL_I, CHAIN_DRIVE, [], uniform_grid(1.0, 11))
+
+    def test_each_column_has_its_own_drift_check(self):
+        # H = diag(0, -5, 5, 0) at h = 0.5: levels 1 and 4 stay exactly put,
+        # level 2 loses most of its norm, and the error names that state
+        drive = resonant_drive(MODEL_I, (0.0, 0.0, 5.0), {tr: 0.0 for tr in MODEL_I.allowed})
+        grid = uniform_grid(5.0, 11)
+        states = [StateVector.basis(1), StateVector.basis(4)]
+        for trace, final in rk4_solve_many(MODEL_I, drive, states, grid):
+            assert trace.max_norm_error() == 0.0
+        with pytest.raises(NumericsError, match=r"norm of initial state 1 drifted .* h = 0\.5;"):
+            rk4_solve_many(MODEL_I, drive, [StateVector.basis(1), StateVector.basis(2)], grid)
+
+
 class TestGeneratorTable:
     """-i H(t) sampled as real 8x8 blocks from the generator table."""
 
@@ -318,11 +440,16 @@ class TestGeneratorTable:
         h = 1e-2
         times = 0.3 + np.arange(50) * h
         stage_times = times + np.array([[0.0], [0.5 * h], [h]])
-        samples = _sample_generator(hamiltonian_table(model, drive), stage_times,
-                                    np.empty((3, 50, 8, 8)))
-        reference = real_blocks(-1j * hamiltonian_t(model, drive, stage_times))
+        samples = hamiltonian_table(model, drive).sample(stage_times, out=np.empty((3, 50, 8, 8)))
+        literal = np.empty(stage_times.shape + (4, 4), dtype=complex)
+        literal[...] = np.diag(model.energies(drive.omega)[::-1])
+        for a, b in model.allowed:
+            entry = drive.coupling[(a, b)] * np.exp(-1j * drive.field_freq[(a, b)] * stage_times)
+            literal[..., row_of(a), row_of(b)] = entry
+            literal[..., row_of(b), row_of(a)] = np.conj(entry)
         assert samples.shape == (3, 50, 8, 8)
-        assert np.array_equal(samples, reference)
+        assert np.array_equal(samples, real_blocks(-1j * literal))
+        assert np.array_equal(samples, real_blocks(-1j * hamiltonian_t(model, drive, stage_times)))
 
     @pytest.mark.parametrize("model_id", ["I", "II", "III", "IV", "V", "VI"])
     def test_step_maps_match_complex_build(self, model_id):

@@ -257,7 +257,7 @@ def pinned_drives(count=200):
     for _ in range(count):
         m = rng.choice(catalog())
         omega = tuple(rng.uniform(0.5, 3.0) for _ in range(3))
-        energies = m.energies(omega).tolist()
+        energies = m.energies(omega)
         transitions = m.sorted_transitions()
         drives.append((m, DriveParams(
             omega=omega,
