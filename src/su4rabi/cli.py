@@ -300,6 +300,19 @@ _POW10_MIN = -90
 # correctly rounded 10^k for k = 12 - E over every exponent E the kernel
 # meets, -101..100; NumPy's power is not correctly rounded for all k
 _POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, 115)])
+
+
+def _pow10_lo(k: int, power: float) -> float:
+    """10^k - power, rounded to nearest; Python's int / int rounds correctly."""
+    num, den = power.as_integer_ratio()
+    up, down = 10 ** max(k, 0), 10 ** max(-k, 0)
+    return (up * den - num * down) / (den * down)
+
+
+# the low parts: 10^k = _POW10 + _POW10_LO, to within u |_POW10_LO|
+_POW10_LO = np.array([_pow10_lo(k, p) for k, p in enumerate(_POW10.tolist(), _POW10_MIN)])
+_SPLIT = 2.0**27 + 1  # Veltkamp's splitting constant for binary64
+_ZERO_FIELD = np.frombuffer(b"0.000000000000e+00", np.uint8)
 _DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 # "0000".."9999", one uint32 each
 _DIGITS4 = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"), axis=-1).view("<u4").ravel()
@@ -318,24 +331,42 @@ _CSV_FIELD = np.dtype({
 })
 
 
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of a into high and low halves of 26 bits each."""
+    c = _SPLIT * a
+    high = c - (c - a)
+    return high, a - high
+
+
 def _format_csv_rows(block: np.ndarray) -> tuple[bytes, int]:
     """The ``_CSV_ROW`` bytes of an (n, 5) float block, and how many values printf wrote.
 
-    For x in [1e-99, 1e99) let E be its decimal exponent and y = x * 10^(12-E)
-    computed with a correctly rounded power: |y - x 10^(12-E)| <= (2u + u^2) y
+    For x in [1e-99, 1e99) let E be its decimal exponent, k = 12 - E, P the
+    correctly rounded 10^k and y = fl(x P): |y - x 10^k| <= (2u + u^2) y
     < 2.3e-3 for y < 1e13 (u = 2^-53). So when y lies at least 0.01 from a
-    half-integer, rint(y) are the 13 digits that printf's exact rounding gives,
-    including a carry into the next decade. The other values go to printf: a
-    near-tie in its 18-byte slot, and by ``_CSV_ROW`` every row that holds a
-    value whose text has another width: a negative value, -0.0, nan, inf, or
-    a magnitude outside [1e-99, 1e99), subnormals included. +0.0 is rendered
-    by the kernel.
+    half-integer, rint(y) are the 13 digits that printf's exact rounding
+    gives, including a carry into the next decade.
+
+    A near-tie is settled by the residual r = x 10^k - rint(y), computed as
+    (y - rint(y)) + e + x p_lo. Here e = x P - y comes exactly from Dekker's
+    two-product on a Veltkamp split, and p_lo = 10^k - P is _POW10_LO. The
+    difference y - rint(y) is exact (|y| < 2^53 ulp(y)) and so is e: no
+    partial product underflows, since x P ~ 1e12. p_lo carries a relative
+    error of u and |p_lo| <= u P, so x p_lo is off by at most 2 u^2 y
+    < 2.5e-19. The two additions, of magnitudes below 0.51, add at most
+    2 * 0.51 u < 1.2e-16. So r is within 2e-16 of the exact residual, and
+    the digits are rint(y) + 1 for r > 0.5 and rint(y) - 1 for r < -0.5.
+    Only a value with ||r| - 0.5| < 1e-12 goes to printf, in its 18-byte
+    slot: an exact decimal half-way case, which printf rounds to even.
+
+    The other values have their own slots: +0.0 is a constant, and by
+    ``_CSV_ROW`` printf renders every row that holds a value whose text has
+    another width: a negative value, -0.0, nan, inf, or a magnitude outside
+    [1e-99, 1e99), subnormals included.
     """
     n = len(block)
     x = block.ravel()
     fast = (x >= 1e-99) & (x < 1e99)  # also false for nan
-    zero = (x == 0) & ~np.signbit(x)
-    wide = ~(fast | zero).reshape(n, 5).all(axis=1)
     safe = np.where(fast, x, 1.0)
     exp = np.floor(np.log10(safe)).astype(np.intp)
     y = safe * _POW10.take(12 - _POW10_MIN - exp)
@@ -345,13 +376,21 @@ def _format_csv_rows(block: np.ndarray) -> tuple[bytes, int]:
         exp[off] += np.where(y[off] < 1e12, -1, 1)
         y[off] = safe[off] * _POW10.take(12 - _POW10_MIN - exp[off])
     rounded = np.rint(y)
-    tie = (np.abs(y - rounded) > 0.49) & fast & ~np.repeat(wide, 5)
+    near = np.flatnonzero(np.abs(y - rounded) > 0.49)
+    half = near
+    if near.size:
+        xs, ys, rs = safe[near], y[near], rounded[near]
+        k = 12 - _POW10_MIN - exp[near]
+        xh, xl = _split(xs)
+        ph, pl = _split(_POW10.take(k))
+        e = ((xh * ph - ys) + xh * pl + xl * ph) + xl * pl
+        r = (ys - rs) + e + xs * _POW10_LO.take(k)
+        rounded[near] = rs + np.rint(r)
+        half = near[np.abs(np.abs(r) - 0.5) < 1e-12]
     digits = rounded.astype(np.int64)
     carry = digits == 10**13
     digits[carry] = 10**12
     exp += carry
-    digits[zero] = 0
-    exp[zero] = 0
 
     buf = np.empty((n, _CSV_WIDTH), np.uint8)
     field = buf.view(_CSV_FIELD).reshape(-1)
@@ -367,21 +406,33 @@ def _format_csv_rows(block: np.ndarray) -> tuple[bytes, int]:
     field["exp"] = _EXPONENT.take(exp + 99)
     field["sep"] = ord(",")
     buf[:, -1] = ord("\n")
-    fallback = int(tie.sum())
-    if fallback:
-        text = "%.12e" * fallback % tuple(x[tie].tolist())
-        buf.reshape(-1, 19)[tie, :18] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 18)
-    if not wide.any():
-        return buf.tobytes(), fallback
-    rows = np.flatnonzero(wide).tolist()
+    slots = buf.reshape(-1, 19)
+    wide = []
+    special = np.flatnonzero(~fast)
+    if special.size:
+        odd = x[special]
+        zero = (odd == 0) & ~np.signbit(odd)
+        slots[special[zero], :18] = _ZERO_FIELD
+        rows = special[~zero] // 5
+        if rows.size:
+            # a mask, not np.unique: that imports numpy.ma, about 2 MB
+            is_wide = np.zeros(n, bool)
+            is_wide[rows] = True
+            wide = np.flatnonzero(is_wide).tolist()
+            half = half[~is_wide[half // 5]]
+    if half.size:
+        text = "%.12e" * half.size % tuple(x[half].tolist())
+        slots[half, :18] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 18)
+    if not wide:
+        return buf.tobytes(), half.size
     pieces = []
     start = 0
-    for row in rows:
+    for row in wide:
         pieces.append(buf[start:row].tobytes())
         pieces.append((_CSV_ROW % tuple(block[row].tolist())).encode())
         start = row + 1
     pieces.append(buf[start:].tobytes())
-    return b"".join(pieces), fallback + 5 * len(rows)
+    return b"".join(pieces), half.size + 5 * len(wide)
 
 
 def write_trace_csv(

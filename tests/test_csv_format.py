@@ -1,19 +1,20 @@
 """The vectorised ``%.12e`` row kernel against Python's per-value formatting.
 
 ``cli._format_csv_rows`` renders rows of five doubles with NumPy and hands
-near-ties and odd-width values to printf. Every test here feeds it row
-blocks of at most ``_CSV_BLOCK`` rows and requires the bytes that
-``format(v, ".12e")`` gives value by value.
+exact decimal half-way values and odd-width rows to printf. Every test here
+feeds it row blocks of at most ``_CSV_BLOCK`` rows and requires the bytes
+that ``format(v, ".12e")`` gives value by value.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su4rabi.cli import _CSV_BLOCK, _format_csv_rows, main
+from su4rabi.cli import _CSV_BLOCK, _POW10, _POW10_LO, _POW10_MIN, _format_csv_rows, main
 
 SEPARATORS = (",", ",", ",", ",", "\n")
 
@@ -31,16 +32,22 @@ def as_rows(values, pad=0.5):
 
 
 def assert_rows_exact(values):
-    """Format ``values`` block by block; name the first row that differs."""
+    """Format ``values`` block by block; name the first row that differs.
+
+    Returns how many values printf wrote.
+    """
     rows = as_rows(values)
+    fallback = 0
     for start in range(0, len(rows), _CSV_BLOCK):
         block = rows[start:start + _CSV_BLOCK]
-        got, _ = _format_csv_rows(block)
+        got, count = _format_csv_rows(block)
+        fallback += count
         want = reference_rows(block)
         if got != want:
             for i, (g, w) in enumerate(zip(got.splitlines(), want.splitlines())):
                 assert g == w, f"row {start + i} {block[i].tolist()!r}"
             assert got == want
+    return fallback
 
 
 class TestAgainstFormat:
@@ -83,6 +90,21 @@ class TestAgainstFormat:
             rng.uniform(1.0, 10.0, 2000) * 10.0 ** rng.integers(-99, 99, 2000),
         ]))
 
+    def test_decimal_near_ties(self):
+        # d.dddddddddddd5 10^E and its two neighbours: the nearest double lies
+        # within an ulp of the half-way value, where only the exact residual
+        # x 10^(12-E) - rint(y) tells the direction of rounding
+        rng = np.random.default_rng(1406)
+        texts = [f"{m}5e{e - 13}" for e in range(-99, 99)
+                 for m in rng.integers(10**12, 10**13, 20).tolist()]
+        ties = np.array([float(t) for t in texts])
+        fallback = assert_rows_exact(np.concatenate([
+            ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
+        ]))
+        # printf gets exactly the values that are decimal half-way cases
+        exact = sum(Fraction(v) == Fraction(t) for v, t in zip(ties.tolist(), texts))
+        assert fallback == exact
+
     def test_dyadic_ties(self):
         # k 2^-m with odd k: many are exact half-way cases at the 13th digit
         k = np.arange(1, 2048, 2, dtype=float)
@@ -96,6 +118,15 @@ class TestAgainstFormat:
         # positive doubles order like their bit patterns
         values = rng.integers(lo, hi, size=1_000_000, endpoint=True).view(np.float64)
         assert_rows_exact(values)
+
+
+class TestPowerTables:
+    def test_low_parts_are_rounded_exact_differences(self):
+        for i, (power, low) in enumerate(zip(_POW10.tolist(), _POW10_LO.tolist())):
+            k = i + _POW10_MIN
+            assert low == float(Fraction(10) ** k - Fraction(power)), k
+            if 0 <= k <= 22:  # 10^k is a double
+                assert low == 0.0, k
 
 
 class TestFastPath:
@@ -114,18 +145,27 @@ class TestFastPath:
         values = sum(size for size, _ in calls)
         fallback = sum(count for _, count in calls)
         assert values == 4 * 5001 * 5
-        # near-ties are about 2 % of values
-        assert fallback <= 0.05 * values, f"{fallback} of {values} values went to printf"
+        # near-ties are settled by the exact residual; no trace value is a
+        # decimal half-way case
+        assert fallback == 0, f"{fallback} of {values} values went to printf"
 
     def test_plain_rows_stay_on_the_kernel(self):
         block = as_rows([0.0, 0.25, 1.0, 3.0, 7.5e-13, 123.0, 0.1, 0.2, 0.3, 1e-99])
         assert _format_csv_rows(block)[1] == 0
 
     def test_odd_values_fall_back(self):
-        # a near-tie goes to printf alone; a width change takes the whole row
+        # an exact half-way value goes to printf alone, a near-tie next to it
+        # stays on the kernel, and a width change takes the whole row
         plain = [0.25, 0.5, 0.75, 1.0]
-        for value, expected in ((2.0 ** -20, 1), (1e300, 5), (float("nan"), 5), (-0.0, 5)):
+        cases = (
+            (2.0 ** -20, 1), (np.nextafter(2.0 ** -20, 1.0), 0),
+            (1e300, 5), (float("nan"), 5), (-0.0, 5),
+        )
+        for value, expected in cases:
             block = np.array([plain + [0.125], [value] + plain, plain + [0.375]])
             text, fallback = _format_csv_rows(block)
             assert fallback == expected, value
             assert text == reference_rows(block)
+        # a half-way value in a wide row is written once, with its row
+        block = np.array([plain + [0.125], [2.0 ** -20, float("nan")] + plain[1:]])
+        assert _format_csv_rows(block) == (reference_rows(block), 5)
