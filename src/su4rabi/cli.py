@@ -134,7 +134,7 @@ def _number_map(values, name: str) -> dict[Transition, float]:
 
 @dataclass
 class RunConfig:
-    """One simulate run; serializes to/from the JSON config format."""
+    """One simulate run; read from the JSON config format."""
 
     model: ModelId
     omega: tuple[float, float, float] = DEFAULT_OMEGA
@@ -158,24 +158,6 @@ class RunConfig:
             raise ConfigurationError("t_max must be non-negative")
         if self.t_max == 0 and self.steps > 1:
             raise ConfigurationError("t_max = 0 allows only a single grid point")
-
-    def to_json_dict(self) -> dict:
-        data: dict = {
-            "model": self.model.value,
-            "omega": list(self.omega),
-            "kappas": {transition_key(tr): v for tr, v in sorted(self.kappas.items(), reverse=True)},
-            "init": self.init if isinstance(self.init, int) else [list(p) for p in self.init],
-            "t_max": self.t_max,
-            "steps": self.steps,
-            "method": self.method,
-        }
-        if self.fields is None:
-            data["resonant"] = True
-        else:
-            data["fields"] = {
-                transition_key(tr): v for tr, v in sorted(self.fields.items(), reverse=True)
-            }
-        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":

@@ -6,12 +6,11 @@ generator K with
     K_a - K_b = -w_ab   for each allowed transition (a, b),
     sum_i K_i = 0.
 
-The allowed transitions form a spanning tree on the four levels, so K is
-found by walking the tree: K_1 = 0, each transition reached from a known
-level fixes the other end by its equation, and the mean is subtracted at
-the end. A transition set with a cycle or an unreachable level has no such
-walk and is rejected. In the frame rotated by ``exp(i K t)`` the
-transformed matrix
+The allowed transitions join the levels into the model's path, so K is
+found by walking the path outward from level 1 in both directions: K_1 = 0,
+each step fixes the next level by the equation of the transition it
+crosses, and the mean is subtracted at the end. In the frame rotated by
+``exp(i K t)`` the transformed matrix
 
     H~ = K + exp(-i K t) H(t) exp(i K t)
 
@@ -69,35 +68,21 @@ class RotatingFrame:
 
 
 def frame_generator(model: ModelConfig, drive: DriveParams) -> np.ndarray:
-    """The level-ordered frame generator (K1, K2, K3, K4), by a tree walk.
-
-    Raises ConfigurationError when the transition set is not a spanning tree
-    (a cycle leaves the generator underdetermined, an unreachable level
-    leaves it unconstrained).
-    """
+    """The level-ordered frame generator (K1, K2, K3, K4), by a path walk."""
     drive.validate_for(model)
-    transitions = model.sorted_transitions()
-    k = {1: 0.0}
-    pending = list(transitions)
-    while pending:
-        for a, b in pending:
-            if (a in k) == (b in k):
-                continue
-            if a in k:
-                k[b] = k[a] + drive.field_freq[(a, b)]
+    freq = drive.field_freq
+    path = model.path
+    start = path.index(1)
+    k = [0.0] * 5  # by level; k[0] unused
+    for side in (path[start::-1], path[start:]):
+        for known, new in zip(side, side[1:]):
+            if known > new:
+                k[new] = k[known] + freq[(known, new)]
             else:
-                k[a] = k[b] - drive.field_freq[(a, b)]
-            pending.remove((a, b))
-            break
-        else:
-            break
-    if pending or len(k) != 4:
-        raise ConfigurationError(
-            f"transition set {sorted(transitions)} is not a spanning tree;"
-            " the frame generator is underdetermined"
-        )
-    mean = (k[1] + k[2] + k[3] + k[4]) / 4.0
-    return np.array([k[1] - mean, k[2] - mean, k[3] - mean, k[4] - mean])
+                k[new] = k[known] - freq[(new, known)]
+    _, k1, k2, k3, k4 = k
+    mean = (k1 + k2 + k3 + k4) / 4.0
+    return np.array([k1 - mean, k2 - mean, k3 - mean, k4 - mean])
 
 
 def rotate(model: ModelConfig, drive: DriveParams) -> RotatingFrame:

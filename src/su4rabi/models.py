@@ -6,12 +6,15 @@ between levels a > b sits above the diagonal at (row_of(a), row_of(b)).
 All vector-valued inputs and outputs use level order (index 0 is level 1);
 only 4x4 matrices use row order.
 
-Each configuration allows exactly three dipole transitions forming a
-spanning tree on the four levels, and fixes the level energies as linear
-combinations of three splitting parameters (w1, w2, w3) with zero sum.
-A transition (a, b) is driven by a classical field of frequency w_ab and a
-real non-negative coupling kappa_ab; within the rotating wave approximation
-the matrix element is kappa_ab * exp(-i w_ab t).
+Each configuration allows exactly three dipole transitions, and they join
+the four levels into one path: I is 3-2-1-4, II 2-1-3-4, III 1-2-3-4,
+IV 2-1-4-3, V 1-2-4-3 and VI 1-4-3-2. A configuration stores its path, and
+its allowed transitions are the path's three neighbouring level pairs. It
+also fixes the level energies as linear combinations of three splitting
+parameters (w1, w2, w3) with zero sum. A transition (a, b) is driven by a
+classical field of frequency w_ab and a real non-negative coupling
+kappa_ab; within the rotating wave approximation the matrix element is
+kappa_ab * exp(-i w_ab t).
 """
 
 from __future__ import annotations
@@ -61,18 +64,25 @@ class ModelId(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """One configuration: allowed transitions, energies, operator assignment.
+    """One configuration: level path, energies, operator assignment.
 
-    ``energy_coeffs[i]`` holds the coefficients of (w1, w2, w3) in the energy
-    of level i+1. ``diagonal_ops`` names the three diagonal shift operators
-    whose span contains the free Hamiltonian, in the order paired with
-    (w1, w2, w3) by the operator form.
+    ``path`` visits each level once; its neighbouring pairs are the allowed
+    transitions. ``energy_coeffs[i]`` holds the coefficients of (w1, w2, w3)
+    in the energy of level i+1. ``diagonal_ops`` names the three diagonal
+    shift operators whose span contains the free Hamiltonian, in the order
+    paired with (w1, w2, w3) by the operator form.
     """
 
     id: ModelId
-    allowed: frozenset[Transition]
+    path: tuple[int, int, int, int]
     energy_coeffs: tuple[tuple[float, float, float], ...]
     diagonal_ops: tuple[str, str, str]
+
+    def __post_init__(self) -> None:
+        if tuple(sorted(self.path)) != LEVELS:
+            raise ConfigurationError(
+                f"path {self.path} must visit each of the levels 1..4 exactly once"
+            )
 
     def energies(self, omega: tuple[float, float, float]) -> list[float]:
         """Level energies [E1, E2, E3, E4], Python floats, for splittings ``omega``."""
@@ -87,7 +97,13 @@ class ModelConfig:
 
     @cached_property
     def _sorted_transitions(self) -> tuple[Transition, ...]:
-        return tuple(sorted(self.allowed, reverse=True))
+        pairs = zip(self.path, self.path[1:])
+        return tuple(sorted(((max(p), min(p)) for p in pairs), reverse=True))
+
+    @cached_property
+    def allowed(self) -> frozenset[Transition]:
+        """The neighbouring level pairs of the path, upper level first."""
+        return frozenset(self._sorted_transitions)
 
     @cached_property
     def generator_blocks(self) -> np.ndarray:
@@ -106,30 +122,30 @@ class ModelConfig:
 
 
 _CATALOG_DATA = [
-    # id, allowed transitions, energy coefficient rows for levels 1..4,
+    # id, level path, energy coefficient rows for levels 1..4,
     # diagonal operator triple paired with (w1, w2, w3)
-    ("I", [(4, 1), (3, 2), (2, 1)],
+    ("I", (3, 2, 1, 4),
      [(-1, -1, 0), (0, 1, -1), (0, 0, 1), (1, 0, 0)], ("W3", "Z3", "U3")),
-    ("II", [(4, 3), (3, 1), (2, 1)],
+    ("II", (2, 1, 3, 4),
      [(-1, 0, -1), (1, 0, 0), (0, -0.5, 1), (0, 0.5, 0)], ("Z3", "T3", "X3")),
-    ("III", [(4, 3), (3, 2), (2, 1)],
+    ("III", (1, 2, 3, 4),
      [(-1, 0, 0), (1, 0, -1), (0, -1, 1), (0, 1, 0)], ("Z3", "T3", "U3")),
-    ("IV", [(4, 3), (4, 1), (2, 1)],
+    ("IV", (2, 1, 4, 3),
      [(-1, 0, -1), (1, 0, 0), (0, -0.5, 0), (0, 0.5, 1)], ("Z3", "T3", "W3")),
-    ("V", [(4, 3), (4, 2), (2, 1)],
+    ("V", (1, 2, 4, 3),
      [(-1, 0, 0), (1, 0, -1), (0, -1, 0), (0, 1, 1)], ("Z3", "T3", "V3")),
-    ("VI", [(4, 3), (4, 1), (3, 2)],
+    ("VI", (1, 4, 3, 2),
      [(-1, 0, 0), (0, 0, -1), (0, -0.5, 1), (1, 0.5, 0)], ("W3", "T3", "U3")),
 ]
 
 _CATALOG = tuple(
     ModelConfig(
         id=ModelId(mid),
-        allowed=frozenset(allowed),
+        path=path,
         energy_coeffs=tuple(tuple(float(x) for x in row) for row in coeffs),
         diagonal_ops=ops,
     )
-    for mid, allowed, coeffs, ops in _CATALOG_DATA
+    for mid, path, coeffs, ops in _CATALOG_DATA
 )
 _BY_ID = {m.id: m for m in _CATALOG}
 

@@ -123,7 +123,10 @@ class TestRunConfig:
             steps=2001,
             method="rk4",
         )
-        assert RunConfig.from_json_dict(cfg.to_json_dict()) == cfg
+        document = """{"model": "II", "omega": [1.0, 2.0, 3.0],
+            "kappas": {"43": 0.24, "31": 0.4, "21": 0.24}, "resonant": true,
+            "init": 3, "t_max": 20.0, "steps": 2001, "method": "rk4"}"""
+        assert RunConfig.from_json_dict(json.loads(document)) == cfg
 
     def test_json_round_trip_with_fields_and_amplitudes(self):
         cfg = RunConfig(
@@ -132,8 +135,11 @@ class TestRunConfig:
             fields={(4, 1): 4.3, (3, 2): 4.0, (2, 1): 2.0},
             init=((0.6, 0.0), (0.0, 0.8), (0.0, 0.0), (0.0, 0.0)),
         )
-        data = json.loads(json.dumps(cfg.to_json_dict()))
-        assert RunConfig.from_json_dict(data) == cfg
+        document = """{"model": "I", "omega": [1.0, 2.0, 3.0], "kappas": {"41": 0.7},
+            "init": [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0], [0.0, 0.0]],
+            "t_max": 50.0, "steps": 5001, "method": "spectral",
+            "fields": {"41": 4.3, "32": 4.0, "21": 2.0}}"""
+        assert RunConfig.from_json_dict(json.loads(document)) == cfg
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError, match="unknown config keys"):
@@ -279,15 +285,12 @@ class TestSimulate:
         assert "+7.000000000000e-01" in out
 
     def test_config_file(self, tmp_path):
-        cfg = RunConfig(
-            model=ModelId.IV,
-            kappas={(4, 3): 0.24, (4, 1): 0.7, (2, 1): 0.24},
-            init=4,
-            t_max=10.0,
-            steps=201,
-        )
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(cfg.to_json_dict()))
+        cfg_path.write_text(
+            '{"model": "IV", "omega": [1.0, 2.0, 3.0],'
+            ' "kappas": {"43": 0.24, "41": 0.7, "21": 0.24}, "resonant": true,'
+            ' "init": 4, "t_max": 10.0, "steps": 201, "method": "spectral"}'
+        )
         out = tmp_path / "from_config.csv"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
         meta, _, data = read_csv(out)

@@ -18,7 +18,7 @@ from su4rabi.frame import (
     rotate,
     transform_at,
 )
-from su4rabi.models import DriveParams, ModelConfig, ModelId, catalog, get_model
+from su4rabi.models import DriveParams, ModelConfig, catalog, get_model, row_of
 
 OPS = build_shift_operators(build_generators())
 
@@ -82,55 +82,45 @@ class TestFrameGenerator:
         )
         assert np.abs(k_rows - combo).max() < 1e-13
 
-    def test_cyclic_transition_set_is_rejected(self):
-        cyclic = ModelConfig(
-            id=ModelId.I,
-            allowed=frozenset({(2, 1), (3, 2), (3, 1)}),
-            energy_coeffs=get_model("I").energy_coeffs,
-            diagonal_ops=get_model("I").diagonal_ops,
-        )
-        drive = DriveParams(
-            omega=(1.0, 2.0, 3.0),
-            field_freq={(2, 1): 1.0, (3, 2): 1.0, (3, 1): 2.0},
-            coupling={(2, 1): 0.1, (3, 2): 0.1, (3, 1): 0.1},
-        )
-        with pytest.raises(ConfigurationError):
-            frame_generator(cyclic, drive)
+
+# the level path of each configuration (arXiv 1406.4016's six models)
+EXPECTED_PATHS = {
+    "I": (3, 2, 1, 4),
+    "II": (2, 1, 3, 4),
+    "III": (1, 2, 3, 4),
+    "IV": (2, 1, 4, 3),
+    "V": (1, 2, 4, 3),
+    "VI": (1, 4, 3, 2),
+}
 
 
-    def test_cycle_through_all_four_levels_is_rejected(self):
-        # four transitions reach every level, but one closes a cycle and its
-        # equation could contradict the others
-        allowed = {(2, 1), (3, 2), (3, 1), (4, 1)}
-        cyclic = ModelConfig(
-            id=ModelId.I,
-            allowed=frozenset(allowed),
-            energy_coeffs=get_model("I").energy_coeffs,
-            diagonal_ops=get_model("I").diagonal_ops,
-        )
-        drive = DriveParams(
-            omega=(1.0, 2.0, 3.0),
-            field_freq={(2, 1): 1.0, (3, 2): 1.0, (3, 1): 2.5, (4, 1): 3.0},
-            coupling={tr: 0.1 for tr in allowed},
-        )
-        with pytest.raises(ConfigurationError, match="not a spanning tree"):
-            frame_generator(cyclic, drive)
+def model_with_path(path):
+    m = get_model("I")
+    return ModelConfig(
+        id=m.id, path=path, energy_coeffs=m.energy_coeffs, diagonal_ops=m.diagonal_ops)
 
-    def test_unreachable_level_is_rejected(self):
-        allowed = {(2, 1), (3, 2)}
-        short = ModelConfig(
-            id=ModelId.III,
-            allowed=frozenset(allowed),
-            energy_coeffs=get_model("III").energy_coeffs,
-            diagonal_ops=get_model("III").diagonal_ops,
-        )
-        drive = DriveParams(
-            omega=(1.0, 2.0, 3.0),
-            field_freq={tr: 1.0 for tr in allowed},
-            coupling={tr: 0.1 for tr in allowed},
-        )
-        with pytest.raises(ConfigurationError, match="not a spanning tree"):
-            frame_generator(short, drive)
+
+class TestModelPath:
+    def test_catalog_paths(self):
+        for m in catalog():
+            assert m.path == EXPECTED_PATHS[m.id.value]
+            pairs = {(max(p), min(p)) for p in zip(m.path, m.path[1:])}
+            assert len(pairs) == 3
+            assert m.allowed == pairs
+
+    def test_repeated_level_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="exactly once"):
+            model_with_path((1, 2, 1, 4))
+
+    def test_missing_level_is_rejected(self):
+        # four entries, but level 3 is absent and 5 is no level
+        with pytest.raises(ConfigurationError, match="exactly once"):
+            model_with_path((1, 2, 5, 4))
+
+    def test_wrong_length_is_rejected(self):
+        for path in ((1, 2, 3), (1, 2, 3, 4, 1), ()):
+            with pytest.raises(ConfigurationError, match="exactly once"):
+                model_with_path(path)
 
 
 class TestRotate:
@@ -196,6 +186,25 @@ class TestRotate:
         fr = rotate(m, drive)
         for (a, b), kappa in drive.coupling.items():
             assert fr.h_tilde[4 - a, 4 - b] == kappa
+
+    @given(st.sampled_from(catalog()), st.booleans(), st.tuples(finite, finite, finite),
+           st.tuples(finite, finite, finite), st.tuples(*[st.floats(0, 4)] * 3))
+    @settings(max_examples=300, deadline=None)
+    def test_path_order_gives_the_ladder(self, m, resonant, omega, freqs, kappas):
+        # relabelled into path order, every frame matrix is the tridiagonal
+        # ladder of its path's couplings and per-level detunings, exactly
+        coupling = dict(zip(m.sorted_transitions(), kappas))
+        if resonant:
+            drive = resonant_drive(m, omega, coupling)
+        else:
+            drive = DriveParams(omega=omega, field_freq=dict(zip(m.sorted_transitions(), freqs)),
+                                coupling=coupling)
+        fr = rotate(m, drive)
+        ladder = np.diag([fr.diag_detunings[level - 1] for level in m.path])
+        for i, pair in enumerate(zip(m.path, m.path[1:])):
+            ladder[i, i + 1] = ladder[i + 1, i] = coupling[(max(pair), min(pair))]
+        rows = [row_of(level) for level in m.path]
+        assert np.array_equal(fr.h_tilde[np.ix_(rows, rows)], ladder)
 
 
 class TestTimeIndependence:
