@@ -520,6 +520,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    """Write the four standard traces of one figure, start levels 1..4.
+
+    The frame is solved once. ``FrameSolution.basis_populations`` gives the
+    four traces from its ten reciprocal level pairs, bit for bit the
+    per-state populations of each basis start.
+    """
     if args.id not in FIGURE_MODELS:
         raise ConfigurationError(f"figure id {args.id} outside 7..12")
     model = get_model(FIGURE_MODELS[args.id])
@@ -529,9 +535,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     cfg = RunConfig(model=model.id, kappas=kappas)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.steps)
     # the four start levels share one drive and grid: solve once, evaluate together
-    populations = solve_frame(model, build_drive(cfg)).populations(
-        [StateVector.basis(level) for level in LEVELS], t_grid
-    )
+    populations = solve_frame(model, build_drive(cfg)).basis_populations(t_grid)
     written = []
     for level, pops in zip(LEVELS, populations):
         trace = PopulationTrace(times=t_grid, populations=pops)

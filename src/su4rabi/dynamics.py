@@ -8,12 +8,19 @@ frame invariant (the frame transformation is a diagonal unitary), so the two
 must agree wherever both apply, which is the backbone cross-check of the
 whole package.
 
-The spectral route has one evaluation path. ``solve_frame`` builds the
-rotating frame of one (model, drive) pair and diagonalizes it once; the
-resulting ``FrameSolution`` evaluates any number of initial states on a
-grid from one pair of phase planes, cos(L t) and sin(L t). Each state's
-real and imaginary parts are one real (8, 8) @ (8, n) GEMM of the planes,
-and its populations are re^2 + im^2. ``trace_via_spectral`` is the
+The spectral route has two evaluation kernels behind one set of checks.
+``solve_frame`` builds the rotating frame of one (model, drive) pair and
+diagonalizes it once; the resulting ``FrameSolution`` checks a grid and
+computes one pair of phase planes, cos(L t) and sin(L t), for every
+state it evaluates there. ``populations`` and ``amplitudes`` take any
+initial states: each state's real and imaginary parts are one real
+(8, 8) @ (8, n) GEMM of the planes, and its populations are
+re^2 + im^2. ``basis_populations`` serves the four basis starts at once.
+The frame matrix is real symmetric, so the propagator
+U(t) = T.T exp(-i L t) T is complex symmetric and the populations are
+reciprocal, P_{i<-j}(t) = P_{j<-i}(t); the ten pairs i <= j hold all
+sixteen, and each is one (10, 4) row of products of two rows of T.T
+against the cos and the sin planes. ``trace_via_spectral`` is the
 one-state shorthand. Short or non-uniform grids take one cos and one sin
 per value; long uniform ones take an angle-addition table
 (``_table_planes``). The table adds at most 9u max|L| max|t| (u = 2^-53)
@@ -308,6 +315,13 @@ def _phase_planes(t_grid: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     return _pointwise_planes(t_grid, eigenvalues)
 
 
+# The ten level pairs i <= j (0-based) that ``FrameSolution.basis_populations``
+# evaluates, and _PAIR_ROW[i, j] = _PAIR_ROW[j, i], the row of pair (i, j).
+_PAIR_LEVELS = np.triu_indices(4)
+_PAIR_ROW = np.empty((4, 4), dtype=np.intp)
+_PAIR_ROW[_PAIR_LEVELS] = _PAIR_ROW[_PAIR_LEVELS[::-1]] = np.arange(10)
+
+
 @dataclass(frozen=True)
 class FrameSolution:
     """The rotating frame of one (model, drive) pair and its eigensystem.
@@ -319,6 +333,27 @@ class FrameSolution:
 
     frame: RotatingFrame
     eigensystem: EigenSystem
+
+    def _planes(self, t_grid) -> tuple[np.ndarray, np.ndarray]:
+        """The phase planes of ``t_grid`` and T.T with its rows in level order.
+
+        Both kernels start here. The grid is checked by ``_check_grid``. The
+        phases carry an absolute rounding error of about u max|L| max|t|
+        (u = 2^-53, from the rounded product L t and from L's own backward
+        error); above 1e-6 they have lost their accuracy and NumericsError
+        names both factors.
+        """
+        t_grid, t_abs = _check_grid(t_grid)
+        lam = self.eigensystem.eigenvalues
+        lam_abs = max(-float(lam[0]), float(lam[-1]))
+        budget = _UNIT_ROUNDOFF * lam_abs * t_abs
+        if not budget <= _PHASE_TOL:
+            raise NumericsError(
+                f"spectral phases lose accuracy: 2^-53 max|eigenvalue| max|t| ="
+                f" {budget:.3e} > {_PHASE_TOL:.0e}, from max|eigenvalue| = {lam_abs:.3e}"
+                f" times max|t| = {t_abs:.3e}; shorten the grid or weaken the couplings"
+            )
+        return _phase_planes(t_grid, lam), self.eigensystem.diagonalizer.T[::-1]
 
     def _evaluate(
         self,
@@ -333,24 +368,10 @@ class FrameSolution:
         states. With w = T c(0) = a + i b, exp(-i L t) w has the real part
         a cos + b sin and the imaginary part b cos - a sin, so each state's
         parts are one real (8, 8) @ (8, n) GEMM of the planes, written into
-        one buffer that every state reuses. The phases carry an absolute
-        rounding error of about u max|L| max|t| (u = 2^-53, from the rounded
-        product L t and from L's own backward error); above 1e-6 they have
-        lost their accuracy and NumericsError names both factors.
+        one buffer that every state reuses.
         """
-        t_grid, t_abs = _check_grid(t_grid)
-        lam = self.eigensystem.eigenvalues
-        lam_abs = max(-float(lam[0]), float(lam[-1]))
-        budget = _UNIT_ROUNDOFF * lam_abs * t_abs
-        if not budget <= _PHASE_TOL:
-            raise NumericsError(
-                f"spectral phases lose accuracy: 2^-53 max|eigenvalue| max|t| ="
-                f" {budget:.3e} > {_PHASE_TOL:.0e}, from max|eigenvalue| = {lam_abs:.3e}"
-                f" times max|t| = {t_abs:.3e}; shorten the grid or weaken the couplings"
-            )
+        planes, back = self._planes(t_grid)
         t_mat = self.eigensystem.diagonalizer
-        back = t_mat.T[::-1]  # T.T with its rows in level order
-        planes = _phase_planes(t_grid, lam)
         mix = np.empty((8, 8))
         top = mix[:4].reshape(4, 2, 4)  # [back * a | back * b], w's parts as rows
         parts = np.empty(planes.shape)
@@ -363,6 +384,26 @@ class FrameSolution:
             np.matmul(mix, planes, out=parts)
             results.append(finish(parts))
         return results
+
+    def basis_populations(self, t_grid) -> list[np.ndarray]:
+        """Level-ordered populations from each start level 1..4, one row per
+        grid time: bit for bit ``populations`` of the four basis states.
+
+        U(t) = T.T exp(-i L t) T is complex symmetric, so the population of
+        level i from start j is that of level j from start i, and only the
+        ten pairs i <= j are evaluated. For a basis start w = T c(0) is a
+        real row of T, so each pair's parts are the products of two rows of
+        T.T against the cos and the sin planes. Same checks and errors as
+        ``populations``.
+        """
+        planes, back = self._planes(t_grid)
+        pairs = back[_PAIR_LEVELS[0]] * back[_PAIR_LEVELS[1]]
+        re = pairs @ planes[:4]
+        im = pairs @ planes[4:]
+        re *= re
+        im *= im
+        re += im
+        return [re[rows].T for rows in _PAIR_ROW]
 
     def populations(self, states: Sequence[StateVector], t_grid) -> list[np.ndarray]:
         """Level-ordered populations of each state, one row per grid time.

@@ -26,7 +26,6 @@ from .dynamics import FrameSolution, solve_frame
 from .errors import ConfigurationError
 from .frame import resonant_drive, rotate
 from .models import (
-    LEVELS,
     DriveParams,
     ModelConfig,
     ModelId,
@@ -98,25 +97,23 @@ def check_inversion(
     t_grid,
     allow_nonresonant: bool = False,
 ) -> float:
-    """Max population deviation |P_i(t) - P'_{5-i}(t)| across the grid and
-    over all four start levels.
+    """Max population deviation |P_i(t; start j) - P'_{5-i}(t; start 5-j)|
+    across the grid, over every level i and start level j.
 
-    The source starts in each level j in turn, the partner in its mirror
-    level 5 - j. Each side is solved once, from its own frame matrix, so the
-    check stays independent of the source's spectrum. Off-resonant drives
-    are rejected unless explicitly allowed (the mapping itself stays exact
-    either way).
+    Each side's four basis starts come from
+    ``FrameSolution.basis_populations``, which evaluates only the ten
+    reciprocal level pairs of its complex symmetric propagator,
+    P_i(start j) = P_j(start i). Each side is solved once, from its own frame
+    matrix, so the check stays independent of the source's spectrum.
+    Off-resonant drives are rejected unless explicitly allowed (the mapping
+    itself stays exact either way).
     """
     model = get_model(mid)
     partner, partner_drive = invert_drive(model, drive)
-    src = solve_frame(model, drive, allow_nonresonant).populations(
-        [StateVector.basis(level) for level in LEVELS], t_grid
-    )
-    dst = solve_frame(partner, partner_drive, allow_nonresonant).populations(
-        [StateVector.basis(map_level(level)) for level in LEVELS], t_grid
-    )
-    # level i of the source lines up with level 5-i, i.e. reversed columns
-    return max(float(np.abs(a - b[:, ::-1]).max()) for a, b in zip(src, dst))
+    src = solve_frame(model, drive, allow_nonresonant).basis_populations(t_grid)
+    dst = solve_frame(partner, partner_drive, allow_nonresonant).basis_populations(t_grid)
+    # start j and level i of the source line up with start 5-j and level 5-i
+    return max(float(np.abs(a - b[:, ::-1]).max()) for a, b in zip(src, reversed(dst)))
 
 
 def spin32_couplings(kappa: float) -> dict[Transition, float]:

@@ -376,14 +376,21 @@ class TestTwoLevelMarch:
         assert np.abs(final.amplitudes - to_level_order(states[-1])).max() < 1e-13
 
 
-def off_resonant_drive(model):
-    """Couplings 0.7, 0.24, 0.5 and fields detuned by 0.3, -0.15, 0.1 in row order."""
+def off_resonant_drive(model, detunings=(0.3, -0.15, 0.1), couplings=(0.7, 0.24, 0.5)):
+    """``couplings`` and the fields' ``detunings`` from resonance, both in row order.
+
+    Zero detunings give the resonant drive itself: adding 0.0 to a field is exact.
+    """
     transitions = model.sorted_transitions()
-    coupling = dict(zip(transitions, (0.7, 0.24, 0.5)))
+    coupling = dict(zip(transitions, couplings))
     fields = dict(resonant_drive(model, OMEGA, coupling).field_freq)
-    for tr, offset in zip(transitions, (0.3, -0.15, 0.1)):
+    for tr, offset in zip(transitions, detunings):
         fields[tr] += offset
     return DriveParams(omega=OMEGA, field_freq=fields, coupling=coupling)
+
+
+RESONANT = (0.0, 0.0, 0.0)
+RAMP_COUPLINGS = (0.2, 0.3, 0.4)
 
 
 class TestBlockMarch:
@@ -540,11 +547,7 @@ class TestFrameSolution:
         # the phase planes are shared by every state; each state's populations
         # must still be bit for bit those of its own single-state trace
         model = get_model(mid)
-        coupling = {tr: 0.2 + 0.1 * i for i, tr in enumerate(model.sorted_transitions())}
-        base = resonant_drive(model, OMEGA, coupling)
-        fields = {tr: base.field_freq[tr] + d
-                  for tr, d in zip(model.sorted_transitions(), detunings)}
-        drive = DriveParams(omega=OMEGA, field_freq=fields, coupling=coupling)
+        drive = off_resonant_drive(model, detunings, RAMP_COUPLINGS)
         grid = uniform_grid(20.0, 201)
         together = solve_frame(model, drive, allow_nonresonant=True).populations(states, grid)
         assert len(together) == len(states)
@@ -597,6 +600,71 @@ class TestFrameSolution:
         for grid in (np.array([]), np.zeros((2, 2))):
             with pytest.raises(ConfigurationError, match="non-empty 1-d"):
                 solution.amplitudes([StateVector.basis(1)], grid)
+
+
+BASIS_STATES = [StateVector.basis(level) for level in (1, 2, 3, 4)]
+
+
+class TestBasisPopulations:
+    @pytest.mark.parametrize("grid,table", [
+        (np.array([0.7]), False),
+        (uniform_grid(20.0, 101), False),
+        (uniform_grid(50.0, 2001), True),
+        (uniform_grid(50.0, 5001), True),
+        (np.linspace(-13.0, 37.0, 3001), True),
+    ])
+    @pytest.mark.parametrize("detunings", [RESONANT, (0.3, -0.15, 0.05)])
+    @pytest.mark.parametrize("mid", ["I", "II", "III", "IV", "V", "VI"])
+    def test_each_start_matches_the_per_state_populations(self, mid, detunings, grid, table):
+        # start level j's populations are bit for bit those of the general
+        # per-state kernel, on either kind of phase planes
+        model = get_model(mid)
+        drive = off_resonant_drive(model, detunings, RAMP_COUPLINGS)
+        solution = solve_frame(model, drive, allow_nonresonant=any(detunings))
+        lam = solution.eigensystem.eigenvalues
+        assert (grid.size >= _TABLE_MIN_POINTS and _table_planes(grid, lam) is not None) == table
+        basis = solution.basis_populations(grid)
+        assert len(basis) == 4
+        for start, pops in zip(basis, solution.populations(BASIS_STATES, grid)):
+            assert start.shape == (grid.size, 4)
+            assert np.array_equal(start, pops)
+
+    @pytest.mark.parametrize("grid,error", [
+        (np.array([]), ConfigurationError),
+        (np.zeros((2, 2)), ConfigurationError),
+        (np.array([0.0, np.nan]), ConfigurationError),
+        (np.array([0.0, -np.inf, 1.0]), ConfigurationError),
+        (np.array([0.0, 1e17, 1.0]), NumericsError),
+        (np.array([0.0, -1e17]), NumericsError),
+    ])
+    def test_refuses_what_populations_refuses(self, grid, error):
+        solution = solve_frame(MODEL_I, CHAIN_DRIVE)
+        with pytest.raises(error) as expected:
+            solution.populations([StateVector.basis(1)], grid)
+        with pytest.raises(error) as raised:
+            solution.basis_populations(grid)
+        assert str(raised.value) == str(expected.value)
+
+
+class TestReciprocity:
+    @given(
+        st.sampled_from([m.id.value for m in catalog()]),
+        st.lists(st.floats(0.01, 2.0), min_size=3, max_size=3),
+        st.just(RESONANT) | st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+        st.sampled_from([101, 2001]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_per_state_populations_are_reciprocal(self, mid, couplings, detunings, points):
+        # U(t) = T.T exp(-i L t) T is complex symmetric, so the population of
+        # level i from start j equals that of level j from start i; the
+        # per-state kernel does not assume it, and rounds both the same way
+        model = get_model(mid)
+        drive = off_resonant_drive(model, detunings, couplings)
+        solution = solve_frame(model, drive, allow_nonresonant=any(detunings))
+        pops = solution.populations(BASIS_STATES, uniform_grid(30.0, points))
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert np.array_equal(pops[j][:, i], pops[i][:, j])
 
 
 # largest max|L| max|t| that FrameSolution.amplitudes accepts
