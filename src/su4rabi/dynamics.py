@@ -15,12 +15,16 @@ computes one pair of phase planes, cos(L t) and sin(L t), for every
 state it evaluates there. ``populations`` and ``amplitudes`` take any
 initial states: each state's real and imaginary parts are one real
 (8, 8) @ (8, n) GEMM of the planes, and its populations are
-re^2 + im^2. ``basis_populations`` serves the four basis starts at once.
-The frame matrix is real symmetric, so the propagator
+re^2 + im^2. The frame matrix is real symmetric, so the propagator
 U(t) = T.T exp(-i L t) T is complex symmetric and the populations are
 reciprocal, P_{i<-j}(t) = P_{j<-i}(t); the ten pairs i <= j hold all
-sixteen, and each is one (10, 4) row of products of two rows of T.T
-against the cos and the sin planes. ``trace_via_spectral`` is the
+sixteen of the basis starts. The pair kernel writes their cos and sin
+parts, products of two rows of T.T against the planes, into a
+(2, 10, n) block with one batched (10, 4) @ (2, 4, n) product and
+squares and sums them in place. ``basis_populations`` gathers the four
+basis starts from that table; ``max_population_gap`` compares the tables
+of two solutions under a relabelling of the levels, both inside one
+workspace allocated once per call. ``trace_via_spectral`` is the
 one-state shorthand. Short or non-uniform grids take one cos and one sin
 per value; long uniform ones take an angle-addition table
 (``_table_planes``). The table adds at most 9u max|L| max|t| (u = 2^-53)
@@ -315,8 +319,8 @@ def _phase_planes(t_grid: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     return _pointwise_planes(t_grid, eigenvalues)
 
 
-# The ten level pairs i <= j (0-based) that ``FrameSolution.basis_populations``
-# evaluates, and _PAIR_ROW[i, j] = _PAIR_ROW[j, i], the row of pair (i, j).
+# The ten level pairs i <= j (0-based) of ``FrameSolution._pair_table``, and
+# _PAIR_ROW[i, j] = _PAIR_ROW[j, i], the row of pair (i, j).
 _PAIR_LEVELS = np.triu_indices(4)
 _PAIR_ROW = np.empty((4, 4), dtype=np.intp)
 _PAIR_ROW[_PAIR_LEVELS] = _PAIR_ROW[_PAIR_LEVELS[::-1]] = np.arange(10)
@@ -385,25 +389,61 @@ class FrameSolution:
             results.append(finish(parts))
         return results
 
+    def _pair_table(self, t_grid, out: np.ndarray, levels=_PAIR_LEVELS) -> np.ndarray:
+        """Populations of ten level pairs, one row per pair and one column
+        per grid time, written into ``out[0]`` and returned.
+
+        Row r is the pair of 0-based levels i = levels[0][r] and
+        j = levels[1][r]. U(t) = T.T exp(-i L t) T is complex symmetric, so
+        the population of level i from start j is that of level j from
+        start i. For a basis start w = T c(0) is a real row of T, so the
+        pair's parts are the product of rows i and j of T.T against the cos
+        and the sin planes: one batched (10, 4) @ (2, 4, n) product writes
+        them into ``out``, a (2, 10, n) block, where they are squared and
+        summed in place.
+        """
+        planes, back = self._planes(t_grid)
+        pairs = back[levels[0]] * back[levels[1]]
+        np.matmul(pairs, planes.reshape(2, 4, -1), out=out)
+        out *= out
+        out[0] += out[1]
+        return out[0]
+
     def basis_populations(self, t_grid) -> list[np.ndarray]:
         """Level-ordered populations from each start level 1..4, one row per
         grid time: bit for bit ``populations`` of the four basis states.
 
-        U(t) = T.T exp(-i L t) T is complex symmetric, so the population of
-        level i from start j is that of level j from start i, and only the
-        ten pairs i <= j are evaluated. For a basis start w = T c(0) is a
-        real row of T, so each pair's parts are the products of two rows of
-        T.T against the cos and the sin planes. Same checks and errors as
+        Only the ten reciprocal pairs i <= j are evaluated, and each start's
+        four levels are gathered from them. Same checks and errors as
         ``populations``.
         """
-        planes, back = self._planes(t_grid)
-        pairs = back[_PAIR_LEVELS[0]] * back[_PAIR_LEVELS[1]]
-        re = pairs @ planes[:4]
-        im = pairs @ planes[4:]
-        re *= re
-        im *= im
-        re += im
-        return [re[rows].T for rows in _PAIR_ROW]
+        t_grid = np.asarray(t_grid, dtype=float)
+        table = self._pair_table(t_grid, np.empty((2, 10, t_grid.size)))
+        return [table[rows].T for rows in _PAIR_ROW]
+
+    def max_population_gap(self, other: FrameSolution, levels: Sequence[int], t_grid) -> float:
+        """The largest |P_i(t; start j) - P'_{levels[i-1]}(t; start levels[j-1])|
+        over every level i, start level j and grid time t, where P are the
+        populations of this solution and P' those of ``other``.
+
+        ``levels`` relabels the levels 1..4 and must be a permutation of
+        them. Both sides are reciprocal, so the sixteen (level, start)
+        comparisons are the ten of the pairs i <= j, and the maximum is
+        theirs bit for bit. Both pair tables, the other side's rows in the
+        relabelled order, and their difference share one (3, 10, n)
+        workspace. Same checks and errors as ``populations`` on each side.
+        """
+        if sorted(levels) != [1, 2, 3, 4]:
+            raise ConfigurationError(f"level relabelling {levels} is not a permutation of 1..4")
+        order = np.asarray(levels, dtype=np.intp) - 1
+        t_grid = np.asarray(t_grid, dtype=float)
+        work = np.empty((3, 10, t_grid.size))
+        mine = self._pair_table(t_grid, work[:2])
+        relabelled = (order[_PAIR_LEVELS[0]], order[_PAIR_LEVELS[1]])
+        theirs = other._pair_table(t_grid, work[1:], relabelled)
+        np.subtract(mine, theirs, out=mine)
+        np.abs(mine, out=mine)
+        return float(mine.max())
 
     def populations(self, states: Sequence[StateVector], t_grid) -> list[np.ndarray]:
         """Level-ordered populations of each state, one row per grid time.

@@ -18,6 +18,7 @@ the populations follow the binomial closed form
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from .dynamics import FrameSolution, solve_frame
 from .errors import ConfigurationError
 from .frame import resonant_drive, rotate
 from .models import (
+    LEVELS,
     DriveParams,
     ModelConfig,
     ModelId,
@@ -44,6 +46,10 @@ def map_level(level: int) -> int:
     return 5 - level
 
 
+# level i of a configuration lines up with level 5 - i of its partner
+_FLIPPED_LEVELS = tuple(map_level(i) for i in LEVELS)
+
+
 def map_transition(tr: Transition) -> Transition:
     """Image of a transition under the ladder flip, kept upper-first."""
     a, b = tr
@@ -52,6 +58,14 @@ def map_transition(tr: Transition) -> Transition:
 
 def inversion_partner(mid: ModelId | str) -> ModelId:
     """The configuration whose allowed set is the flipped one."""
+    return _partner_of(get_model(mid).id)
+
+
+@functools.cache
+def _partner_of(mid: ModelId) -> ModelId:
+    """``inversion_partner``'s catalog search, run once per configuration:
+    the catalog is fixed, and each ``symmetry`` command needs the partner
+    both for its drive and for its report."""
     source = get_model(mid)
     image = frozenset(map_transition(tr) for tr in source.allowed)
     for candidate in catalog():
@@ -100,20 +114,17 @@ def check_inversion(
     """Max population deviation |P_i(t; start j) - P'_{5-i}(t; start 5-j)|
     across the grid, over every level i and start level j.
 
-    Each side's four basis starts come from
-    ``FrameSolution.basis_populations``, which evaluates only the ten
-    reciprocal level pairs of its complex symmetric propagator,
-    P_i(start j) = P_j(start i). Each side is solved once, from its own frame
-    matrix, so the check stays independent of the source's spectrum.
-    Off-resonant drives are rejected unless explicitly allowed (the mapping
-    itself stays exact either way).
+    Each side is solved once, from its own frame matrix, so the check stays
+    independent of the source's spectrum; ``FrameSolution.max_population_gap``
+    compares the source's ten reciprocal level pairs with the partner's
+    under the ladder flip. Off-resonant drives are rejected unless
+    explicitly allowed (the mapping itself stays exact either way).
     """
     model = get_model(mid)
     partner, partner_drive = invert_drive(model, drive)
-    src = solve_frame(model, drive, allow_nonresonant).basis_populations(t_grid)
-    dst = solve_frame(partner, partner_drive, allow_nonresonant).basis_populations(t_grid)
-    # start j and level i of the source line up with start 5-j and level 5-i
-    return max(float(np.abs(a - b[:, ::-1]).max()) for a, b in zip(src, reversed(dst)))
+    source = solve_frame(model, drive, allow_nonresonant)
+    mirror = solve_frame(partner, partner_drive, allow_nonresonant)
+    return source.max_population_gap(mirror, _FLIPPED_LEVELS, t_grid)
 
 
 def spin32_couplings(kappa: float) -> dict[Transition, float]:

@@ -603,6 +603,23 @@ class TestSingleSolve:
     def test_symmetry_solves_source_and_partner_once(self, monkeypatch, capsys):
         assert self.count_eigensolves(monkeypatch, ["symmetry", "I:VI"]) == 2
 
+    def test_symmetry_searches_the_catalog_once(self, monkeypatch, capsys):
+        # the command reports the partner and inverts the drive onto it; the
+        # partner is found by one search, which later commands reuse
+        catalog = symmetry.catalog
+        searches = []
+
+        def counted():
+            searches.append(1)
+            return catalog()
+
+        symmetry._partner_of.cache_clear()
+        monkeypatch.setattr(symmetry, "catalog", counted)
+        assert main(["symmetry", "I:VI"]) == 0
+        assert len(searches) == 1
+        assert main(["symmetry", "I:VI"]) == 0
+        assert len(searches) == 1
+
     def test_reduce_su2_solves_once(self, monkeypatch, capsys):
         assert self.count_eigensolves(monkeypatch, ["reduce-su2"]) == 1
 

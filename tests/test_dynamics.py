@@ -5,6 +5,7 @@ spectral route diagonalizes the static rotating-frame matrix. They share no
 code beyond the model catalog, so their agreement checks both at once.
 """
 
+import itertools
 import math
 import warnings
 
@@ -644,6 +645,40 @@ class TestBasisPopulations:
         with pytest.raises(error) as raised:
             solution.basis_populations(grid)
         assert str(raised.value) == str(expected.value)
+        with pytest.raises(error) as raised:
+            solution.max_population_gap(solution, (1, 2, 3, 4), grid)
+        assert str(raised.value) == str(expected.value)
+
+
+class TestMaxPopulationGap:
+    @pytest.mark.parametrize("levels", list(itertools.permutations((1, 2, 3, 4))))
+    @pytest.mark.parametrize("points", [101, 2001])
+    def test_gap_is_the_maximum_over_sixteen_columns(self, points, levels):
+        # any relabelling, between two different configurations: the ten
+        # reciprocal pairs give the maximum over every (level, start) column
+        # of the per-state kernel, bit for bit
+        grid = uniform_grid(20.0, points)
+        mine = solve_frame(MODEL_I, CHAIN_DRIVE)
+        model = get_model("IV")
+        other = solve_frame(model, off_resonant_drive(model), allow_nonresonant=True)
+        ours = mine.populations(BASIS_STATES, grid)
+        theirs = other.populations(BASIS_STATES, grid)
+        expected = max(
+            float(np.abs(ours[j][:, i] - theirs[levels[j] - 1][:, levels[i] - 1]).max())
+            for i in range(4)
+            for j in range(4)
+        )
+        assert mine.max_population_gap(other, levels, grid) == expected
+
+    def test_a_solution_against_itself_is_exactly_zero(self):
+        solution = solve_frame(MODEL_I, CHAIN_DRIVE)
+        assert solution.max_population_gap(solution, (1, 2, 3, 4), uniform_grid(20.0, 2001)) == 0.0
+
+    @pytest.mark.parametrize("levels", [(1, 2, 3), (1, 1, 3, 4), (0, 1, 2, 3), (1, 2, 3, 5)])
+    def test_rejects_a_relabelling_that_is_not_a_permutation(self, levels):
+        solution = solve_frame(MODEL_I, CHAIN_DRIVE)
+        with pytest.raises(ConfigurationError, match="permutation of 1..4"):
+            solution.max_population_gap(solution, levels, uniform_grid(20.0, 101))
 
 
 class TestReciprocity:

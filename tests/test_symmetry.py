@@ -1,12 +1,14 @@
 """Tests for the ladder-flip symmetry and the spin-3/2 reduction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from su4rabi import symmetry
 from su4rabi.dynamics import trace_via_spectral
 from su4rabi.errors import ConfigurationError
 from su4rabi.frame import resonant_drive, rotate
@@ -45,6 +47,16 @@ def standard_drive(mid):
     model = get_model(mid)
     coupling = {tr: STANDARD[tr] for tr in model.allowed}
     return model, resonant_drive(model, OMEGA, coupling)
+
+
+def detuned_drive(mid):
+    """The standard couplings with each field, in transition order, off
+    resonance by 0.2, -0.07 and 0.13."""
+    model, base = standard_drive(mid)
+    fields = dict(base.field_freq)
+    for tr, detuning in zip(sorted(model.allowed), (0.2, -0.07, 0.13)):
+        fields[tr] += detuning
+    return model, DriveParams(omega=OMEGA, field_freq=fields, coupling=base.coupling)
 
 
 class TestLadderFlip:
@@ -133,18 +145,60 @@ class TestCheckInversion:
         _, drive = standard_drive("III")
         assert check_inversion("III", drive, np.array([0.0])) < 1e-14
 
-    def test_worst_start_level_is_reported(self):
+    # 101 points take one cos and sin per value, 401 and 2 001 the table
+    @pytest.mark.parametrize("points", [1, 101, 401, 2001])
+    @pytest.mark.parametrize("detuned", [False, True], ids=["resonant", "detuned"])
+    @pytest.mark.parametrize("mid", ALL_IDS)
+    def test_worst_start_level_is_reported(self, mid, detuned, points):
         # the deviation is the maximum over the four start levels, each
-        # paired with its mirror level on the partner
-        model, drive = standard_drive("II")
+        # paired with its mirror level on the partner: all sixteen level
+        # pairs of the per-state traces, which the ten reciprocal pairs of
+        # the check must give bit for bit
+        model, drive = (detuned_drive if detuned else standard_drive)(mid)
         partner, pdrive = invert_drive(model, drive)
-        grid = np.linspace(0.0, 20.0, 401)
+        grid = np.linspace(0.0, 20.0, points)
         worst = 0.0
         for level in (1, 2, 3, 4):
-            src = trace_via_spectral(model, drive, StateVector.basis(level), grid)
-            dst = trace_via_spectral(partner, pdrive, StateVector.basis(5 - level), grid)
+            src = trace_via_spectral(model, drive, StateVector.basis(level), grid, detuned)
+            dst = trace_via_spectral(partner, pdrive, StateVector.basis(5 - level), grid, detuned)
             worst = max(worst, float(np.abs(src.populations - dst.populations[:, ::-1]).max()))
-        assert check_inversion("II", drive, grid) == worst
+        assert check_inversion(mid, drive, grid, allow_nonresonant=detuned) == worst
+
+    @pytest.mark.parametrize("mid", ALL_IDS)
+    def test_a_wrong_partner_coupling_is_reported(self, mid, monkeypatch):
+        # a check that compared one side with itself would read 0 here, and
+        # would meet every rounding-level bound above
+        invert = symmetry.invert_drive
+
+        def skewed(model, drive):
+            partner, pdrive = invert(model, drive)
+            coupling = dict(pdrive.coupling)
+            coupling[min(coupling)] *= 1.1
+            return partner, DriveParams(
+                omega=pdrive.omega, field_freq=pdrive.field_freq, coupling=coupling
+            )
+
+        monkeypatch.setattr(symmetry, "invert_drive", skewed)
+        _, drive = standard_drive(mid)
+        assert check_inversion(mid, drive, np.linspace(0.0, 20.0, 2001)) > 1e-3
+
+    @pytest.mark.parametrize("points", [2001, 5001])
+    def test_working_set_per_grid_point(self, points):
+        # both pair tables and their difference share one (3, 10, n)
+        # workspace, 240 B per point, beside one side's (8, n) phase planes
+        # at a time: 321 and 317 B per point measured (2 001 and 5 001
+        # points, NumPy 2.4.6), against 485 B for four per-start arrays a side.
+        # The bound allows 12 % for NumPy's own temporaries.
+        _, drive = standard_drive("II")
+        grid = np.linspace(0.0, 20.0, points)
+        check_inversion("II", drive, grid)
+        tracemalloc.start()
+        try:
+            check_inversion("II", drive, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / points < 360.0
 
     def test_off_resonance_needs_opt_in(self):
         model, base = standard_drive("II")
