@@ -522,9 +522,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_figure(args: argparse.Namespace) -> int:
     """Write the four standard traces of one figure, start levels 1..4.
 
-    The frame is solved once. ``FrameSolution.basis_populations`` gives the
-    four traces from its ten reciprocal level pairs, bit for bit the
-    per-state populations of each basis start.
+    The frame is solved once and ``FrameSolution.populations`` evaluates the
+    four basis starts together, so each trace is byte for byte the CSV of
+    ``simulate`` from that start level.
     """
     if args.id not in FIGURE_MODELS:
         raise ConfigurationError(f"figure id {args.id} outside 7..12")
@@ -535,7 +535,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
     cfg = RunConfig(model=model.id, kappas=kappas)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.steps)
     # the four start levels share one drive and grid: solve once, evaluate together
-    populations = solve_frame(model, build_drive(cfg)).basis_populations(t_grid)
+    starts = [StateVector.basis(level) for level in LEVELS]
+    populations = solve_frame(model, build_drive(cfg)).populations(starts, t_grid)
     written = []
     for level, pops in zip(LEVELS, populations):
         trace = PopulationTrace(times=t_grid, populations=pops)

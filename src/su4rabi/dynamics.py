@@ -13,24 +13,24 @@ The spectral route has two evaluation kernels behind one set of checks.
 diagonalizes it once; the resulting ``FrameSolution`` checks a grid and
 computes one pair of phase planes, cos(L t) and sin(L t), for every
 state it evaluates there. ``populations`` and ``amplitudes`` take any
-initial states: each state's real and imaginary parts are one real
-(8, 8) @ (8, n) GEMM of the planes, and its populations are
-re^2 + im^2. The frame matrix is real symmetric, so the propagator
-U(t) = T.T exp(-i L t) T is complex symmetric and the populations are
-reciprocal, P_{i<-j}(t) = P_{j<-i}(t); the ten pairs i <= j hold all
-sixteen of the basis starts. The pair kernel writes their cos and sin
-parts, products of two rows of T.T against the planes, into a
-(2, 10, n) block with one batched (10, 4) @ (2, 4, n) product and
-squares and sums them in place. ``basis_populations`` gathers the four
-basis starts from that table; ``max_population_gap`` compares the tables
-of two solutions under a relabelling of the levels, both inside one
-workspace allocated once per call. ``trace_via_spectral`` is the
-one-state shorthand. Short or non-uniform grids take one cos and one sin
-per value; long uniform ones take an angle-addition table
-(``_table_planes``). The table adds at most 9u max|L| max|t| (u = 2^-53)
-to the phases, measured 2.8u on the figure grids and 5.3u on grids
-crossing zero: below the eigenvalues' own backward error (7.9u max|L| for
-the Jacobi solver), which the phase budget u max|L| max|t| <= 1e-6 covers.
+initial states, basis levels included: each state's real and imaginary
+parts are one real (8, 8) @ (8, n) GEMM of the planes, and its
+populations are re^2 + im^2. The frame matrix is real symmetric, so the
+propagator U(t) = T.T exp(-i L t) T is complex symmetric and the
+populations are reciprocal, P_{i<-j}(t) = P_{j<-i}(t); the ten pairs
+i <= j hold all sixteen of the basis starts. The pair kernel serves only
+``max_population_gap``, which compares the pair tables of two solutions
+under a relabelling of the levels: it writes their cos and sin parts,
+products of two rows of T.T against the planes, into a (2, 10, n) block
+with one batched (10, 4) @ (2, 4, n) product and squares and sums them
+in place, both tables inside one workspace allocated once per call.
+``trace_via_spectral`` is the one-state shorthand. Short or non-uniform
+grids take one cos and one sin per value; long uniform ones take an
+angle-addition table (``_table_planes``). The table adds at most
+9u max|L| max|t| (u = 2^-53) to the phases, measured 2.8u on the figure
+grids and 5.3u on grids crossing zero: below the eigenvalues' own
+backward error (7.9u max|L| for the Jacobi solver), which the phase
+budget u max|L| max|t| <= 1e-6 covers.
 
 The RK4 route runs in real arithmetic: a complex 4-vector x + i y is the
 real 8-vector [x; y], on which -i H acts as [[Im H, Re H], [-Re H, Im H]].
@@ -265,9 +265,11 @@ def _pointwise_planes(t_grid: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray
     return planes.reshape(-1, t_grid.size)
 
 
-def _table_planes(t_grid: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray | None:
+def _table_planes(
+    t_grid: np.ndarray, eigenvalues: np.ndarray, t_abs: float
+) -> np.ndarray | None:
     """The planes of ``_pointwise_planes`` by angle addition, or None when the
-    grid is not uniform.
+    grid is not uniform; ``t_abs`` is the grid's max|t|.
 
     The grid counts as uniform when every time lies within 4u max|t| of
     the time ``numpy.linspace(t[0], t[-1], n)`` forms, t[0] + k step with
@@ -285,7 +287,7 @@ def _table_planes(t_grid: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray | N
         predicted = np.arange(n) * ((t_grid[-1] - t0) / (n - 1)) + t0
         predicted[-1] = t_grid[-1]
         drift = np.abs(predicted - t_grid).max()
-    if not drift <= 4.0 * _UNIT_ROUNDOFF * np.abs(t_grid).max():
+    if not drift <= 4.0 * _UNIT_ROUNDOFF * t_abs:
         return None
     b = math.isqrt(n)
     anchors = t_grid[::b]
@@ -306,24 +308,22 @@ def _table_planes(t_grid: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray | N
     return planes[:, :n]
 
 
-def _phase_planes(t_grid: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
-    """cos(L t) in rows 0-3 and sin(L t) in rows 4-7, shape (8, n).
+def _phase_planes(t_grid: np.ndarray, eigenvalues: np.ndarray, t_abs: float) -> np.ndarray:
+    """cos(L t) in rows 0-3 and sin(L t) in rows 4-7, shape (8, n), for a
+    grid of max|t| ``t_abs``.
 
     A uniform grid of at least ``_TABLE_MIN_POINTS`` times takes the angle
     addition table; every other grid takes one cos and one sin per value.
     """
     if t_grid.size >= _TABLE_MIN_POINTS:
-        planes = _table_planes(t_grid, eigenvalues)
+        planes = _table_planes(t_grid, eigenvalues, t_abs)
         if planes is not None:
             return planes
     return _pointwise_planes(t_grid, eigenvalues)
 
 
-# The ten level pairs i <= j (0-based) of ``FrameSolution._pair_table``, and
-# _PAIR_ROW[i, j] = _PAIR_ROW[j, i], the row of pair (i, j).
+# The ten level pairs i <= j (0-based) of ``FrameSolution.max_population_gap``.
 _PAIR_LEVELS = np.triu_indices(4)
-_PAIR_ROW = np.empty((4, 4), dtype=np.intp)
-_PAIR_ROW[_PAIR_LEVELS] = _PAIR_ROW[_PAIR_LEVELS[::-1]] = np.arange(10)
 
 
 @dataclass(frozen=True)
@@ -357,7 +357,7 @@ class FrameSolution:
                 f" {budget:.3e} > {_PHASE_TOL:.0e}, from max|eigenvalue| = {lam_abs:.3e}"
                 f" times max|t| = {t_abs:.3e}; shorten the grid or weaken the couplings"
             )
-        return _phase_planes(t_grid, lam), self.eigensystem.diagonalizer.T[::-1]
+        return _phase_planes(t_grid, lam, t_abs), self.eigensystem.diagonalizer.T[::-1]
 
     def _evaluate(
         self,
@@ -389,7 +389,7 @@ class FrameSolution:
             results.append(finish(parts))
         return results
 
-    def _pair_table(self, t_grid, out: np.ndarray, levels=_PAIR_LEVELS) -> np.ndarray:
+    def _pair_table(self, t_grid, out: np.ndarray, levels) -> np.ndarray:
         """Populations of ten level pairs, one row per pair and one column
         per grid time, written into ``out[0]`` and returned.
 
@@ -409,18 +409,6 @@ class FrameSolution:
         out[0] += out[1]
         return out[0]
 
-    def basis_populations(self, t_grid) -> list[np.ndarray]:
-        """Level-ordered populations from each start level 1..4, one row per
-        grid time: bit for bit ``populations`` of the four basis states.
-
-        Only the ten reciprocal pairs i <= j are evaluated, and each start's
-        four levels are gathered from them. Same checks and errors as
-        ``populations``.
-        """
-        t_grid = np.asarray(t_grid, dtype=float)
-        table = self._pair_table(t_grid, np.empty((2, 10, t_grid.size)))
-        return [table[rows].T for rows in _PAIR_ROW]
-
     def max_population_gap(self, other: FrameSolution, levels: Sequence[int], t_grid) -> float:
         """The largest |P_i(t; start j) - P'_{levels[i-1]}(t; start levels[j-1])|
         over every level i, start level j and grid time t, where P are the
@@ -438,7 +426,7 @@ class FrameSolution:
         order = np.asarray(levels, dtype=np.intp) - 1
         t_grid = np.asarray(t_grid, dtype=float)
         work = np.empty((3, 10, t_grid.size))
-        mine = self._pair_table(t_grid, work[:2])
+        mine = self._pair_table(t_grid, work[:2], _PAIR_LEVELS)
         relabelled = (order[_PAIR_LEVELS[0]], order[_PAIR_LEVELS[1]])
         theirs = other._pair_table(t_grid, work[1:], relabelled)
         np.subtract(mine, theirs, out=mine)

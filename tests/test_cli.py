@@ -31,7 +31,7 @@ from su4rabi.cli import (
     write_trace_csv,
 )
 from su4rabi.errors import ConfigurationError
-from su4rabi.models import ModelId, PopulationTrace
+from su4rabi.models import ModelId, PopulationTrace, get_model
 
 
 def read_csv(path):
@@ -507,6 +507,25 @@ class TestFigure:
 
     def test_invalid_id_exits_2(self):
         assert main(["figure", "13"]) == 2
+
+    @pytest.mark.parametrize("figure_id", sorted(cli.FIGURE_MODELS))
+    def test_each_trace_is_the_simulate_csv_of_its_start(self, tmp_path, capsys, figure_id):
+        # one route for every start: figure's four traces are byte for byte
+        # the CSVs of simulate with the standard couplings from each level
+        mid = cli.FIGURE_MODELS[figure_id]
+        kappas = [
+            f"{transition_key(tr)}={cli.STANDARD_COUPLINGS[tr]}"
+            for tr in get_model(mid).allowed
+        ]
+        assert main(["figure", str(figure_id), "--out-dir", str(tmp_path)]) == 0
+        for level, suffix in cli.CASE_SUFFIX.items():
+            out = tmp_path / f"sim{suffix}.csv"
+            argv = ["simulate", "--model", mid, "--kappa", *kappas, "--init", str(level)]
+            assert main([*argv, "--out", str(out)]) == 0
+            figure = (tmp_path / f"fig{figure_id}{suffix}.csv").read_bytes()
+            if figure_id == 10:
+                figure = figure.replace(b"# omega_field = 0.4 0.4 0.4\n", b"", 1)
+            assert figure == out.read_bytes()
 
 
 class TestSymmetryCommand:

@@ -47,6 +47,7 @@ CHAIN_COUPLINGS = {(4, 1): 0.7, (3, 2): 0.24, (2, 1): 0.24}
 
 MODEL_I = get_model("I")
 CHAIN_DRIVE = resonant_drive(MODEL_I, OMEGA, CHAIN_COUPLINGS)
+BASIS_STATES = [StateVector.basis(level) for level in (1, 2, 3, 4)]
 
 
 def schrodinger_rhs(model, drive, t, amplitudes):
@@ -61,6 +62,11 @@ def schrodinger_rhs(model, drive, t, amplitudes):
 
 def uniform_grid(t_max, n_points):
     return np.linspace(0.0, t_max, n_points)
+
+
+def max_abs(grid):
+    """max|t| of a grid, the argument the phase-plane kernels take with it."""
+    return float(np.abs(grid).max())
 
 
 def zero_coupling_drive(model):
@@ -119,6 +125,21 @@ class TestRk4Solve:
         expected = np.tile([0.0, 0.0, 1.0, 0.0], (5001, 1))
         assert np.abs(trace.populations - expected).max() < 1e-12
         assert final.populations() == pytest.approx([0.0, 0.0, 1.0, 0.0], abs=1e-12)
+
+    def test_uncoupled_drift_is_the_predicted_amplification(self):
+        # with H = diag(E) constant, one RK4 step multiplies basis state j by
+        # R(-i y), y = h E_j, and |R(iy)|^2 = 1 - y^6/72 + y^8/576 exactly, so
+        # after N steps its norm has drifted by 1 - |R|^(2N); two-sided, so a
+        # wrong stage weight moves the leading y^6 term
+        n_steps = 50_000
+        grid = uniform_grid(500.0, n_steps + 1)
+        h = float(grid[1] - grid[0])
+        results = rk4_solve_many(MODEL_I, zero_coupling_drive(MODEL_I), BASIS_STATES, grid)
+        for energy, (trace, _) in zip(MODEL_I.energies(OMEGA), results):
+            y = h * energy
+            predicted = -math.expm1(n_steps * math.log1p(-(y**6) / 72 + y**8 / 576))
+            drift = 1.0 - float(trace.populations[-1].sum())
+            assert abs(drift - predicted) <= 2 * n_steps * _UNIT_ROUNDOFF
 
     def test_two_level_limit_matches_closed_form(self):
         # With only the 2-1 field on, the chain reduces to Rabi flopping
@@ -603,53 +624,6 @@ class TestFrameSolution:
                 solution.amplitudes([StateVector.basis(1)], grid)
 
 
-BASIS_STATES = [StateVector.basis(level) for level in (1, 2, 3, 4)]
-
-
-class TestBasisPopulations:
-    @pytest.mark.parametrize("grid,table", [
-        (np.array([0.7]), False),
-        (uniform_grid(20.0, 101), False),
-        (uniform_grid(50.0, 2001), True),
-        (uniform_grid(50.0, 5001), True),
-        (np.linspace(-13.0, 37.0, 3001), True),
-    ])
-    @pytest.mark.parametrize("detunings", [RESONANT, (0.3, -0.15, 0.05)])
-    @pytest.mark.parametrize("mid", ["I", "II", "III", "IV", "V", "VI"])
-    def test_each_start_matches_the_per_state_populations(self, mid, detunings, grid, table):
-        # start level j's populations are bit for bit those of the general
-        # per-state kernel, on either kind of phase planes
-        model = get_model(mid)
-        drive = off_resonant_drive(model, detunings, RAMP_COUPLINGS)
-        solution = solve_frame(model, drive, allow_nonresonant=any(detunings))
-        lam = solution.eigensystem.eigenvalues
-        assert (grid.size >= _TABLE_MIN_POINTS and _table_planes(grid, lam) is not None) == table
-        basis = solution.basis_populations(grid)
-        assert len(basis) == 4
-        for start, pops in zip(basis, solution.populations(BASIS_STATES, grid)):
-            assert start.shape == (grid.size, 4)
-            assert np.array_equal(start, pops)
-
-    @pytest.mark.parametrize("grid,error", [
-        (np.array([]), ConfigurationError),
-        (np.zeros((2, 2)), ConfigurationError),
-        (np.array([0.0, np.nan]), ConfigurationError),
-        (np.array([0.0, -np.inf, 1.0]), ConfigurationError),
-        (np.array([0.0, 1e17, 1.0]), NumericsError),
-        (np.array([0.0, -1e17]), NumericsError),
-    ])
-    def test_refuses_what_populations_refuses(self, grid, error):
-        solution = solve_frame(MODEL_I, CHAIN_DRIVE)
-        with pytest.raises(error) as expected:
-            solution.populations([StateVector.basis(1)], grid)
-        with pytest.raises(error) as raised:
-            solution.basis_populations(grid)
-        assert str(raised.value) == str(expected.value)
-        with pytest.raises(error) as raised:
-            solution.max_population_gap(solution, (1, 2, 3, 4), grid)
-        assert str(raised.value) == str(expected.value)
-
-
 class TestMaxPopulationGap:
     @pytest.mark.parametrize("levels", list(itertools.permutations((1, 2, 3, 4))))
     @pytest.mark.parametrize("points", [101, 2001])
@@ -679,6 +653,22 @@ class TestMaxPopulationGap:
         solution = solve_frame(MODEL_I, CHAIN_DRIVE)
         with pytest.raises(ConfigurationError, match="permutation of 1..4"):
             solution.max_population_gap(solution, levels, uniform_grid(20.0, 101))
+
+    @pytest.mark.parametrize("grid,error", [
+        (np.array([]), ConfigurationError),
+        (np.zeros((2, 2)), ConfigurationError),
+        (np.array([0.0, np.nan]), ConfigurationError),
+        (np.array([0.0, -np.inf, 1.0]), ConfigurationError),
+        (np.array([0.0, 1e17, 1.0]), NumericsError),
+        (np.array([0.0, -1e17]), NumericsError),
+    ])
+    def test_refuses_what_populations_refuses(self, grid, error):
+        solution = solve_frame(MODEL_I, CHAIN_DRIVE)
+        with pytest.raises(error) as expected:
+            solution.populations([StateVector.basis(1)], grid)
+        with pytest.raises(error) as raised:
+            solution.max_population_gap(solution, (1, 2, 3, 4), grid)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestReciprocity:
@@ -797,9 +787,9 @@ class TestPhasePlanes:
     @given(uniform_grids(), eigenvalue_sets)
     @settings(max_examples=80, deadline=None)
     def test_table_matches_per_value_planes(self, grid, lam):
-        planes = _table_planes(grid, lam)
+        planes = _table_planes(grid, lam, max_abs(grid))
         assert planes is not None  # a uniform grid takes the table
-        assert np.array_equal(_phase_planes(grid, lam), planes)
+        assert np.array_equal(_phase_planes(grid, lam, max_abs(grid)), planes)
         scale = _UNIT_ROUNDOFF * float(np.abs(lam).max() * np.abs(grid).max())
         deviation = float(np.abs(planes - _pointwise_planes(grid, lam)).max())
         target(deviation / (scale + _UNIT_ROUNDOFF))
@@ -812,7 +802,9 @@ class TestPhasePlanes:
         lam = solve_frame(MODEL_I, CHAIN_DRIVE).eigensystem.eigenvalues
         grid = np.linspace(0.0, 5e4, 50_001)
         scale = _UNIT_ROUNDOFF * float(np.abs(lam).max()) * 5e4
-        deviation = float(np.abs(_table_planes(grid, lam) - _pointwise_planes(grid, lam)).max())
+        deviation = float(
+            np.abs(_table_planes(grid, lam, max_abs(grid)) - _pointwise_planes(grid, lam)).max()
+        )
         assert 0.5 * scale <= deviation <= TABLE_ARGUMENT_ULPS * scale
 
     def test_grids_crossing_zero_take_the_table(self, monkeypatch):
@@ -823,7 +815,7 @@ class TestPhasePlanes:
         for grid, lam in zero_crossing_grids():
             with monkeypatch.context() as patch:
                 patch.setattr(dynamics, "_pointwise_planes", refuse)
-                planes = _phase_planes(grid, lam)
+                planes = _phase_planes(grid, lam, max_abs(grid))
             scale = _UNIT_ROUNDOFF * float(np.abs(lam).max() * np.abs(grid).max())
             reference = _pointwise_planes(grid, lam)
             reference -= planes
@@ -838,13 +830,13 @@ class TestPhasePlanes:
     ])
     def test_non_uniform_grid_takes_per_value_path(self, grid):
         lam = solve_frame(MODEL_I, CHAIN_DRIVE).eigensystem.eigenvalues
-        assert _table_planes(grid, lam) is None
-        assert np.array_equal(_phase_planes(grid, lam), _pointwise_planes(grid, lam))
+        assert _table_planes(grid, lam, max_abs(grid)) is None
+        assert np.array_equal(_phase_planes(grid, lam, max_abs(grid)), _pointwise_planes(grid, lam))
 
     def test_short_grid_takes_per_value_path(self):
         lam = solve_frame(MODEL_I, CHAIN_DRIVE).eigensystem.eigenvalues
         grid = uniform_grid(50.0, _TABLE_MIN_POINTS - 1)
-        assert np.array_equal(_phase_planes(grid, lam), _pointwise_planes(grid, lam))
+        assert np.array_equal(_phase_planes(grid, lam, max_abs(grid)), _pointwise_planes(grid, lam))
 
     def test_amplitudes_and_populations_share_one_kernel(self):
         solution = solve_frame(MODEL_I, CHAIN_DRIVE)
