@@ -624,6 +624,36 @@ class TestFrameSolution:
                 solution.amplitudes([StateVector.basis(1)], grid)
 
 
+class TestBasisPopulations:
+    @pytest.mark.parametrize("grid,table", [
+        (np.array([0.7]), False),
+        (uniform_grid(20.0, 101), False),
+        (uniform_grid(50.0, 2001), True),
+        (uniform_grid(50.0, 5001), True),
+        (np.linspace(-13.0, 37.0, 3001), True),
+    ])
+    @pytest.mark.parametrize("detunings", [RESONANT, (0.3, -0.15, 0.05)])
+    @pytest.mark.parametrize("mid", ["I", "II", "III", "IV", "V", "VI"])
+    def test_each_start_matches_the_per_state_populations(self, mid, detunings, grid, table):
+        # the pair kernel behind max_population_gap holds every basis start:
+        # level i from start j is row (min, max) of its ten-pair table, bit
+        # for bit the per-state kernel's, on either kind of phase planes
+        model = get_model(mid)
+        drive = off_resonant_drive(model, detunings, RAMP_COUPLINGS)
+        solution = solve_frame(model, drive, allow_nonresonant=any(detunings))
+        lam = solution.eigensystem.eigenvalues
+        assert (
+            grid.size >= _TABLE_MIN_POINTS and _table_planes(grid, lam, max_abs(grid)) is not None
+        ) == table
+        pairs = np.triu_indices(4)
+        row = np.empty((4, 4), dtype=np.intp)
+        row[pairs] = row[pairs[::-1]] = np.arange(10)
+        table_rows = solution._pair_table(grid, np.empty((2, 10, grid.size)), pairs)
+        for start, pops in enumerate(solution.populations(BASIS_STATES, grid)):
+            assert pops.shape == (grid.size, 4)
+            assert np.array_equal(table_rows[row[start]].T, pops)
+
+
 class TestMaxPopulationGap:
     @pytest.mark.parametrize("levels", list(itertools.permutations((1, 2, 3, 4))))
     @pytest.mark.parametrize("points", [101, 2001])
