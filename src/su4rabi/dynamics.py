@@ -172,8 +172,9 @@ def rk4_solve_many(
     populations at every grid point. The step maps of each block of up to
     4096 steps use only samples of the lab-frame H(t), never the rotating
     frame, and are built once for all states. An empty state list, or a
-    grid that is non-finite, not strictly increasing, not uniform or whose
-    spacing overflows, is a ConfigurationError. NumericsError when a state
+    grid that is non-finite, not strictly increasing, not uniform (a
+    spacing off the first, h, by more than 1e-9 |h|) or whose spacing
+    overflows, is a ConfigurationError. NumericsError when a state
     leaves the finite range or its final norm drifts from 1 by more than
     1e-6 (the step was far too coarse for the couplings involved).
     """
@@ -197,8 +198,9 @@ def rk4_solve_many(
             if lo <= 0:
                 raise ConfigurationError("time grid must be strictly increasing")
             h = float(spacings[0])
-            # rounding is monotone, so this is the largest |spacing - h|
-            if max(hi - h, h - lo) > 1e-9 * max(1.0, abs(h)):
+            # rounding is monotone, so this is the largest |spacing - h|;
+            # relative to h, the rule is exact under t -> 2^k t
+            if max(hi - h, h - lo) > 1e-9 * abs(h):
                 raise ConfigurationError("time grid must be uniform for fixed-step RK4")
 
         marched = np.empty((n_steps + 1, 8, k))

@@ -5,8 +5,10 @@ Two independent pieces live here:
 * a deterministic cyclic Jacobi eigensolver for real symmetric 4x4 input,
   returning ascending eigenvalues, a sign-fixed orthogonal diagonalizer and
   the sweep count. A 4x4 matrix is too small for array operations to pay:
-  the sweeps run on nested lists of Python floats, and each plane rotation
-  updates only the rows and columns it touches, in place;
+  the sweeps run on local Python floats, the ten of the matrix's upper
+  triangle and the sixteen of the eigenvector rows, and the six plane
+  rotations of a sweep are written out, each updating only the entries it
+  touches;
 * the six-angle Givens parametrization of SO(4), as the ordered product
   G(1,2) G(1,3) G(1,4) G(2,3) G(2,4) G(3,4) of plane rotations, with a
   constructive factorization inverting it.
@@ -35,10 +37,6 @@ _SIGN_TIE_TOL = 1e-12
 _ORTHO_TOL = 1e-10
 _MAX_SWEEPS = 50
 
-# Each plane (p, q) followed by the two indices r < u outside it.
-_ROTATIONS = tuple((p, q, *(r for r in range(4) if r not in (p, q))) for p, q in PLANES)
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Ascending eigenvalues, the row-eigenvector diagonalizer, and the
@@ -65,11 +63,14 @@ def jacobi_eigh(h: np.ndarray) -> EigenSystem:
     below 1e-14 relative to the matrix scale; convergence is quadratic and
     a handful of sweeps suffices.
 
-    The sweeps run on Python floats, without an inner loop: each rotation
-    (p, q, r, u) updates the pivot diagonals by Rutishauser's ``a_pp - t
-    a_pq``, ``a_qq + t a_pq``, zeroes the pivot pair, rotates the entries
-    (r, p), (r, q), (u, p), (u, q) and their mirrors in place, and rebuilds
-    eigenvector rows p and q from their unpacked values.
+    The sweeps run on local Python floats, without lists or an inner loop:
+    the scaled symmetric part lives in its upper triangle ``a_pq`` (p <= q,
+    ten floats, written there straight from the input), the eigenvector
+    rows in ``v_pk`` (sixteen). Each of the six plane blocks, in ``PLANES``
+    order, updates the pivot diagonals by Rutishauser's ``a_pp - t a_pq``,
+    ``a_qq + t a_pq``, zeroes the pivot, rotates the four entries that pair
+    p and q with the other two indices, and rebuilds eigenvector rows p and
+    q.
 
     Rows of the returned diagonalizer are sorted by eigenvalue and
     sign-fixed: the first component whose magnitude is within 1e-12 of the
@@ -78,7 +79,7 @@ def jacobi_eigh(h: np.ndarray) -> EigenSystem:
     the palindromic eigenvectors of resonant symmetric configurations.
     """
     h = np.asarray(h)
-    if np.iscomplexobj(h):
+    if h.dtype.kind == "c":
         if np.any(h.imag != 0.0):
             raise ValueError(
                 "matrix is not real: imaginary parts up to"
@@ -88,76 +89,143 @@ def jacobi_eigh(h: np.ndarray) -> EigenSystem:
     h = np.asarray(h, dtype=float)
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
-    rows = r0, r1, r2, r3 = h.tolist()
-    entries = r0 + r1 + r2 + r3
+    entries = h.ravel().tolist()
     if not all(map(math.isfinite, entries)):
         raise NumericsError("matrix has non-finite entries")
     largest = max(map(abs, entries))
-    if max(abs(r0[1] - r1[0]), abs(r0[2] - r2[0]), abs(r0[3] - r3[0]), abs(r1[2] - r2[1]),
-           abs(r1[3] - r3[1]), abs(r2[3] - r3[2])) > _SYMMETRY_TOL * largest:
+    h00, h01, h02, h03, h10, h11, h12, h13, h20, h21, h22, h23, h30, h31, h32, h33 = entries
+    if max(abs(h01 - h10), abs(h02 - h20), abs(h03 - h30), abs(h12 - h21),
+           abs(h13 - h31), abs(h23 - h32)) > _SYMMETRY_TOL * largest:
         raise ValueError("matrix is not symmetric")
 
+    # a_pq (p <= q) is the scaled symmetric part, v_pk the eigenvector
+    # estimates as rows: the transpose of the accumulated rotation
     exponent = math.frexp(largest)[1]
-    a = [[math.ldexp(x, -exponent) for x in row] for row in rows]
-    for p, q in PLANES:
-        a[p][q] = a[q][p] = (a[p][q] + a[q][p]) / 2.0
-    tol = 1e-14 * max(1.0, math.hypot(*a[0], *a[1], *a[2], *a[3]))
-    # v holds the eigenvector estimates as rows: the transpose of the
-    # accumulated rotation, whose columns p, q each rotation mixes
-    v = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
-         [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
-    a0, a1, a2, a3 = a
+    ldexp, hypot, e = math.ldexp, math.hypot, -exponent
+    a00, a11, a22, a33 = ldexp(h00, e), ldexp(h11, e), ldexp(h22, e), ldexp(h33, e)
+    a01 = (ldexp(h01, e) + ldexp(h10, e)) / 2.0
+    a02 = (ldexp(h02, e) + ldexp(h20, e)) / 2.0
+    a03 = (ldexp(h03, e) + ldexp(h30, e)) / 2.0
+    a12 = (ldexp(h12, e) + ldexp(h21, e)) / 2.0
+    a13 = (ldexp(h13, e) + ldexp(h31, e)) / 2.0
+    a23 = (ldexp(h23, e) + ldexp(h32, e)) / 2.0
+    tol = 1e-14 * max(1.0, hypot(a00, a01, a02, a03, a01, a11, a12, a13,
+                                 a02, a12, a22, a23, a03, a13, a23, a33))
+    v00 = v11 = v22 = v33 = 1.0
+    v01 = v02 = v03 = v10 = v12 = v13 = v20 = v21 = v23 = v30 = v31 = v32 = 0.0
     skip = tol / 10.0
-    hypot = math.hypot
+    # one block per plane (p, q) in PLANES order, r < u the other two
+    # indices; t = sign(tau) / (|tau| + hypot(1, tau)), and 1 at tau = +-0
     for sweeps in range(_MAX_SWEEPS):
-        off = math.sqrt(2.0 * (a0[1] * a0[1] + a0[2] * a0[2] + a0[3] * a0[3]
-                               + a1[2] * a1[2] + a1[3] * a1[3] + a2[3] * a2[3]))
+        off = math.sqrt(2.0 * (a01 * a01 + a02 * a02 + a03 * a03
+                               + a12 * a12 + a13 * a13 + a23 * a23))
         if off < tol:
             break
-        for p, q, r, u in _ROTATIONS:
-            ap, aq, ar, au = a[p], a[q], a[r], a[u]
-            apq = ap[q]
-            if -skip < apq < skip:
-                continue
-            tau = (aq[q] - ap[p]) / (2.0 * apq)
-            # t = sign(tau) / (|tau| + hypot(1, tau)), and 1 at tau = 0
-            t = (1.0 / (tau + hypot(1.0, tau)) if tau > 0.0
-                 else -1.0 / (hypot(1.0, tau) - tau) if tau < 0.0 else 1.0)
+        if not -skip < a01 < skip:  # (0, 1), r = 2, u = 3
+            tau = (a11 - a00) / (2.0 * a01)
+            t = 1.0 / (tau + hypot(1.0, tau)) if tau >= 0.0 else -1.0 / (hypot(1.0, tau) - tau)
             c = 1.0 / hypot(1.0, t)
             s = t * c
-            ap[p] -= t * apq
-            aq[q] += t * apq
-            ap[q] = aq[p] = 0.0
-            x, y = ar[p], ar[q]
-            ar[p] = ap[r] = c * x - s * y
-            ar[q] = aq[r] = s * x + c * y
-            x, y = au[p], au[q]
-            au[p] = ap[u] = c * x - s * y
-            au[q] = aq[u] = s * x + c * y
-            x0, x1, x2, x3 = v[p]
-            y0, y1, y2, y3 = v[q]
-            v[p] = [c * x0 - s * y0, c * x1 - s * y1, c * x2 - s * y2, c * x3 - s * y3]
-            v[q] = [s * x0 + c * y0, s * x1 + c * y1, s * x2 + c * y2, s * x3 + c * y3]
+            a00 -= t * a01
+            a11 += t * a01
+            a01 = 0.0
+            a02, a12 = c * a02 - s * a12, s * a02 + c * a12
+            a03, a13 = c * a03 - s * a13, s * a03 + c * a13
+            v00, v10 = c * v00 - s * v10, s * v00 + c * v10
+            v01, v11 = c * v01 - s * v11, s * v01 + c * v11
+            v02, v12 = c * v02 - s * v12, s * v02 + c * v12
+            v03, v13 = c * v03 - s * v13, s * v03 + c * v13
+        if not -skip < a02 < skip:  # (0, 2), r = 1, u = 3
+            tau = (a22 - a00) / (2.0 * a02)
+            t = 1.0 / (tau + hypot(1.0, tau)) if tau >= 0.0 else -1.0 / (hypot(1.0, tau) - tau)
+            c = 1.0 / hypot(1.0, t)
+            s = t * c
+            a00 -= t * a02
+            a22 += t * a02
+            a02 = 0.0
+            a01, a12 = c * a01 - s * a12, s * a01 + c * a12
+            a03, a23 = c * a03 - s * a23, s * a03 + c * a23
+            v00, v20 = c * v00 - s * v20, s * v00 + c * v20
+            v01, v21 = c * v01 - s * v21, s * v01 + c * v21
+            v02, v22 = c * v02 - s * v22, s * v02 + c * v22
+            v03, v23 = c * v03 - s * v23, s * v03 + c * v23
+        if not -skip < a03 < skip:  # (0, 3), r = 1, u = 2
+            tau = (a33 - a00) / (2.0 * a03)
+            t = 1.0 / (tau + hypot(1.0, tau)) if tau >= 0.0 else -1.0 / (hypot(1.0, tau) - tau)
+            c = 1.0 / hypot(1.0, t)
+            s = t * c
+            a00 -= t * a03
+            a33 += t * a03
+            a03 = 0.0
+            a01, a13 = c * a01 - s * a13, s * a01 + c * a13
+            a02, a23 = c * a02 - s * a23, s * a02 + c * a23
+            v00, v30 = c * v00 - s * v30, s * v00 + c * v30
+            v01, v31 = c * v01 - s * v31, s * v01 + c * v31
+            v02, v32 = c * v02 - s * v32, s * v02 + c * v32
+            v03, v33 = c * v03 - s * v33, s * v03 + c * v33
+        if not -skip < a12 < skip:  # (1, 2), r = 0, u = 3
+            tau = (a22 - a11) / (2.0 * a12)
+            t = 1.0 / (tau + hypot(1.0, tau)) if tau >= 0.0 else -1.0 / (hypot(1.0, tau) - tau)
+            c = 1.0 / hypot(1.0, t)
+            s = t * c
+            a11 -= t * a12
+            a22 += t * a12
+            a12 = 0.0
+            a01, a02 = c * a01 - s * a02, s * a01 + c * a02
+            a13, a23 = c * a13 - s * a23, s * a13 + c * a23
+            v10, v20 = c * v10 - s * v20, s * v10 + c * v20
+            v11, v21 = c * v11 - s * v21, s * v11 + c * v21
+            v12, v22 = c * v12 - s * v22, s * v12 + c * v22
+            v13, v23 = c * v13 - s * v23, s * v13 + c * v23
+        if not -skip < a13 < skip:  # (1, 3), r = 0, u = 2
+            tau = (a33 - a11) / (2.0 * a13)
+            t = 1.0 / (tau + hypot(1.0, tau)) if tau >= 0.0 else -1.0 / (hypot(1.0, tau) - tau)
+            c = 1.0 / hypot(1.0, t)
+            s = t * c
+            a11 -= t * a13
+            a33 += t * a13
+            a13 = 0.0
+            a01, a03 = c * a01 - s * a03, s * a01 + c * a03
+            a12, a23 = c * a12 - s * a23, s * a12 + c * a23
+            v10, v30 = c * v10 - s * v30, s * v10 + c * v30
+            v11, v31 = c * v11 - s * v31, s * v11 + c * v31
+            v12, v32 = c * v12 - s * v32, s * v12 + c * v32
+            v13, v33 = c * v13 - s * v33, s * v13 + c * v33
+        if not -skip < a23 < skip:  # (2, 3), r = 0, u = 1
+            tau = (a33 - a22) / (2.0 * a23)
+            t = 1.0 / (tau + hypot(1.0, tau)) if tau >= 0.0 else -1.0 / (hypot(1.0, tau) - tau)
+            c = 1.0 / hypot(1.0, t)
+            s = t * c
+            a22 -= t * a23
+            a33 += t * a23
+            a23 = 0.0
+            a02, a03 = c * a02 - s * a03, s * a02 + c * a03
+            a12, a13 = c * a12 - s * a13, s * a12 + c * a13
+            v20, v30 = c * v20 - s * v30, s * v20 + c * v30
+            v21, v31 = c * v21 - s * v31, s * v21 + c * v31
+            v22, v32 = c * v22 - s * v32, s * v22 + c * v32
+            v23, v33 = c * v23 - s * v33, s * v23 + c * v33
     else:
         raise NumericsError("Jacobi sweeps did not converge")
 
-    diagonal = [a0[0], a1[1], a2[2], a3[3]]
+    diagonal = (a00, a11, a22, a33)
+    rows = ((v00, v01, v02, v03), (v10, v11, v12, v13),
+            (v20, v21, v22, v23), (v30, v31, v32, v33))
     order = sorted(range(4), key=diagonal.__getitem__)
     try:
-        eigenvalues = np.array([math.ldexp(diagonal[k], exponent) for k in order])
+        values = [ldexp(diagonal[k], exponent) for k in order]
     except OverflowError:
         raise NumericsError("eigenvalues overflow the float range") from None
-    vectors = []
     for k in order:
-        x0, x1, x2, x3 = vec = v[k]
+        x0, x1, x2, x3 = rows[k]
         floor = max(abs(x0), abs(x1), abs(x2), abs(x3)) - _SIGN_TIE_TOL
         lead = (x0 if abs(x0) >= floor else x1 if abs(x1) >= floor
                 else x2 if abs(x2) >= floor else x3)
-        vectors.append([-x0, -x1, -x2, -x3] if lead < 0.0 else vec)
-    diag = np.array(vectors)
-    eigenvalues.setflags(write=False)
-    diag.setflags(write=False)
-    return EigenSystem(eigenvalues=eigenvalues, diagonalizer=diag, sweeps=sweeps)
+        values += (-x0, -x1, -x2, -x3) if lead < 0.0 else rows[k]
+    # one read-only block: the eigenvalues, then the diagonalizer's rows
+    out = np.array(values).reshape(5, 4)
+    out.setflags(write=False)
+    return EigenSystem(eigenvalues=out[0], diagonalizer=out[1:], sweeps=sweeps)
 
 
 def plane_rotation(p: int, q: int, theta: float) -> np.ndarray:

@@ -272,18 +272,20 @@ class TestRk4Solve:
 OVERFLOW = r"^time grid spacing overflows to inf \(max\|t\| = 1\.500e\+308\); a step between two grid times must be a finite float$"
 NOT_INCREASING = r"^time grid must be strictly increasing$"
 NOT_UNIFORM = r"^time grid must be uniform for fixed-step RK4$"
-# 1e-9 * max(1, |h|) at h = 1e-9: the uniformity tolerance of a small step
-TOL = 1e-9
+# A step below 1 whose uniformity tolerance 1e-9 |h| is exactly 2^-40
+# (1e9 = 2^9 1953125, so H is exact and so is every grid time below)
+H = 1e9 * 2.0**-40
+TOL = 2.0**-40
 
 
 class TestRk4GridCheck:
     """Each grid outcome of ``rk4_solve``, with its exception and message
     (the one-point grid: ``TestRk4Solve``).
 
-    The uniformity test is two-sided: a spacing off from the first by
-    exactly 1e-9 max(1, |h|) passes, and the next float past it fails, on
-    either side of h and on both branches of max(1, |h|). Every spacing
-    below is exact in binary, so the grids probe the comparison itself.
+    The uniformity test is two-sided and relative: a spacing off from the
+    first, h, by exactly 1e-9 |h| passes, and the next float past it fails,
+    on either side of h, for steps below and above 1. Every spacing below
+    is exact in binary, so the grids probe the comparison itself.
     """
 
     @staticmethod
@@ -291,22 +293,48 @@ class TestRk4GridCheck:
         return rk4_solve(MODEL_I, drive, StateVector.basis(1), np.array(grid))
 
     def test_spacing_above_h_by_the_tolerance_passes(self):
-        # h = TOL, then 2 TOL: off by exactly TOL
-        trace, _ = self.solve([-TOL, 0.0, 2 * TOL])
+        # h = H, then H + TOL: off by exactly 1e-9 |h|
+        assert 1e-9 * H == TOL
+        trace, _ = self.solve([-H, 0.0, H + TOL])
         assert trace.populations.shape == (3, 4)
 
     def test_spacing_one_float_further_above_fails(self):
         with pytest.raises(ConfigurationError, match=NOT_UNIFORM):
-            self.solve([-TOL, 0.0, np.nextafter(2 * TOL, 1.0)])
+            self.solve([-H, 0.0, np.nextafter(H + TOL, 1.0)])
 
     def test_spacing_below_h_by_the_tolerance_passes(self):
-        # h = 2 TOL, then TOL
-        trace, _ = self.solve([-2 * TOL, 0.0, TOL])
+        # h = H, then H - TOL
+        trace, _ = self.solve([-H, 0.0, H - TOL])
         assert trace.populations.shape == (3, 4)
 
     def test_spacing_one_float_further_below_fails(self):
         with pytest.raises(ConfigurationError, match=NOT_UNIFORM):
-            self.solve([-2 * TOL, 0.0, np.nextafter(TOL, 0.0)])
+            self.solve([-H, 0.0, np.nextafter(H - TOL, 0.0)])
+
+    def test_alternating_small_spacings_fail(self):
+        # spacings 1e-12 and 5e-10 in turn, with every frequency scaled by
+        # 1e9: an absolute tolerance of 1e-9 took this grid as uniform, and
+        # the march at h = 1e-12 ended 0.9989 away from trace_via_spectral
+        drive = resonant_drive(
+            MODEL_I, tuple(1e9 * w for w in OMEGA),
+            {tr: 1e9 * k for tr, k in CHAIN_COUPLINGS.items()},
+        )
+        grid = np.concatenate(([0.0], np.cumsum(np.tile([1e-12, 5e-10], 50))))
+        with pytest.raises(ConfigurationError, match=NOT_UNIFORM):
+            self.solve(grid, drive)
+
+    def test_outcome_is_the_same_under_power_of_two_rescaling(self):
+        # t -> 2^k t scales every spacing and the tolerance exactly; H(t) = 0
+        # keeps the march stable at any step
+        drive = resonant_drive(MODEL_I, (0.0, 0.0, 0.0), {tr: 0.0 for tr in MODEL_I.allowed})
+        edges = (H + TOL, H - TOL)
+        for k in range(-60, 61, 20):
+            for last in edges:
+                trace, _ = self.solve([math.ldexp(t, k) for t in (-H, 0.0, last)], drive)
+                assert np.array_equal(trace.populations[-1], [1.0, 0.0, 0.0, 0.0])
+            for last in (np.nextafter(edges[0], 1.0), np.nextafter(edges[1], 0.0)):
+                with pytest.raises(ConfigurationError, match=NOT_UNIFORM):
+                    self.solve([math.ldexp(t, k) for t in (-H, 0.0, last)], drive)
 
     def test_tolerance_scales_with_a_large_step(self):
         # h = 1e9: the tolerance is 1e-9 |h| = 1.0 exactly; H(t) = 0 keeps

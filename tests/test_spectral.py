@@ -14,7 +14,7 @@ from su4rabi.cli import STANDARD_COUPLINGS
 from su4rabi.dynamics import solve_frame
 from su4rabi.errors import NumericsError
 from su4rabi.frame import resonant_drive, rotate
-from su4rabi.models import StateVector, catalog, get_model
+from su4rabi.models import DriveParams, StateVector, catalog, get_model
 from su4rabi.spectral import (
     PLANES,
     EigenSystem,
@@ -448,12 +448,73 @@ def pinned_matrices(count=3000):
     return matrices
 
 
+# Powers of two the frame matrices are rescaled by: 2^-1000 takes the
+# rounding-level diagonals of resonant frames into the subnormal range.
+FRAME_SCALE_EXPONENTS = (-1000, -600, -60, 60, 600, 1000)
+# sha256 of the Jacobi output for ``frame_matrices()`` and
+# ``zero_pattern_matrices()``, in that order; like ``JACOBI_DIGEST`` it
+# moves with any change to the solver's operation order (or to ``rotate``).
+FRAME_DIGEST = "731d027dd90335d7efb993707ad354778bf7dd723d332ad449b9a56fc57173b2"
+
+
+def frame_matrices(drives=25):
+    """Frame matrices of every catalog model, ``random.Random(1406)``: per
+    drive the resonant matrix and a detuned one (each field frequency off its
+    level gap by up to a decade in 1e-3..1e3), couplings in 1e-3..1e3, each
+    followed by its exact rescalings by 2^k for k in FRAME_SCALE_EXPONENTS."""
+    rng = random.Random(1406)
+    decades = PIN_SCALES[5:12]
+    matrices = []
+    for m in catalog():
+        for _ in range(drives):
+            omega = tuple(rng.uniform(-5.0, 5.0) for _ in range(3))
+            transitions = m.sorted_transitions()
+            coupling = {tr: rng.choice(decades) * rng.uniform(0.1, 1.0) for tr in transitions}
+            resonant = resonant_drive(m, omega, coupling)
+            field = {tr: resonant.field_freq[tr] + rng.choice(decades) * rng.uniform(-1.0, 1.0)
+                     for tr in transitions}
+            for drive in (resonant, DriveParams(omega=omega, field_freq=field, coupling=coupling)):
+                rows = rotate(m, drive).h_tilde.tolist()
+                matrices.append(rows)
+                for k in FRAME_SCALE_EXPONENTS:
+                    matrices.append([[math.ldexp(x, k) for x in row] for row in rows])
+    return matrices
+
+
+def zero_pattern_matrices():
+    """Symmetric matrices with every one of the 64 zero patterns of the six
+    off-diagonal planes, ``random.Random(64)``: per pattern a random
+    diagonal and a zero one (tau = 0 on the first rotation), the remaining
+    off-diagonal entries uniform in [-1, 1]."""
+    rng = random.Random(64)
+    matrices = []
+    for mask in range(64):
+        for zero_diagonal in (False, True):
+            rows = [[0.0] * 4 for _ in range(4)]
+            if not zero_diagonal:
+                for p in range(4):
+                    rows[p][p] = rng.uniform(-1.0, 1.0)
+            for bit, (p, q) in enumerate(PLANES):
+                if not mask >> bit & 1:
+                    rows[p][q] = rows[q][p] = rng.uniform(-1.0, 1.0)
+            matrices.append(rows)
+    return matrices
+
+
+def solver_digest(matrices):
+    """sha256 over the eigenvalues, diagonalizer and sweep count of each."""
+    digest = hashlib.sha256()
+    for rows in matrices:
+        es = jacobi_eigh(np.array(rows))
+        digest.update(es.eigenvalues.astype("<f8").tobytes())
+        digest.update(es.diagonalizer.astype("<f8").tobytes())
+        digest.update(es.sweeps.to_bytes(2, "little"))
+    return digest.hexdigest()
+
+
 class TestPinnedBits:
     def test_jacobi_digest(self):
-        digest = hashlib.sha256()
-        for rows in pinned_matrices():
-            es = jacobi_eigh(np.array(rows))
-            digest.update(es.eigenvalues.astype("<f8").tobytes())
-            digest.update(es.diagonalizer.astype("<f8").tobytes())
-            digest.update(es.sweeps.to_bytes(2, "little"))
-        assert digest.hexdigest() == JACOBI_DIGEST
+        assert solver_digest(pinned_matrices()) == JACOBI_DIGEST
+
+    def test_frame_digest(self):
+        assert solver_digest(frame_matrices() + zero_pattern_matrices()) == FRAME_DIGEST
