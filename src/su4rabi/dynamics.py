@@ -157,6 +157,7 @@ def _march(maps: np.ndarray, start: np.ndarray) -> np.ndarray:
     return states.reshape(groups * b, 8, k)[:m]
 
 
+_UNIT_ROUNDOFF = 2.0**-53
 # Steps whose matrices are built at once; bounds memory on long grids.
 _RK4_BLOCK = 4096
 # Largest final norm drift a march may show; beyond it the step is too coarse.
@@ -173,8 +174,9 @@ def rk4_solve_many(
     4096 steps use only samples of the lab-frame H(t), never the rotating
     frame, and are built once for all states. An empty state list, or a
     grid that is non-finite, not strictly increasing, not uniform (a
-    spacing off the first, h, by more than 1e-9 |h|) or whose spacing
-    overflows, is a ConfigurationError. NumericsError when a state
+    spacing off the first, h, by more than 1e-9 |h| + 8u max|t|; the second
+    term allows for the rounding of the grid times themselves) or whose
+    spacing overflows, is a ConfigurationError. NumericsError when a state
     leaves the finite range or its final norm drifts from 1 by more than
     1e-6 (the step was far too coarse for the couplings involved).
     """
@@ -198,9 +200,11 @@ def rk4_solve_many(
             if lo <= 0:
                 raise ConfigurationError("time grid must be strictly increasing")
             h = float(spacings[0])
-            # rounding is monotone, so this is the largest |spacing - h|;
-            # relative to h, the rule is exact under t -> 2^k t
-            if max(hi - h, h - lo) > 1e-9 * abs(h):
+            # rounding is monotone, so this is the largest |spacing - h|.
+            # Rounding alone spreads a linspace grid's spacings by up to
+            # about 2u max|t| (from 0, 2e-9 |h| at 1.6e7 points); the rule
+            # is exact under t -> 2^k t
+            if max(hi - h, h - lo) > 1e-9 * abs(h) + 8.0 * _UNIT_ROUNDOFF * t_abs:
                 raise ConfigurationError("time grid must be uniform for fixed-step RK4")
 
         marched = np.empty((n_steps + 1, 8, k))
@@ -245,7 +249,6 @@ def rk4_solve(
     return result
 
 
-_UNIT_ROUNDOFF = 2.0**-53
 # Largest phase rounding error u max|L| max|t| the spectral route accepts;
 # the RK4 norm tolerance, 1e-6, serves as the same kind of bound there.
 _PHASE_TOL = 1e-6

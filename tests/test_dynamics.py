@@ -272,18 +272,22 @@ class TestRk4Solve:
 OVERFLOW = r"^time grid spacing overflows to inf \(max\|t\| = 1\.500e\+308\); a step between two grid times must be a finite float$"
 NOT_INCREASING = r"^time grid must be strictly increasing$"
 NOT_UNIFORM = r"^time grid must be uniform for fixed-step RK4$"
-# A step below 1 whose uniformity tolerance 1e-9 |h| is exactly 2^-40
-# (1e9 = 2^9 1953125, so H is exact and so is every grid time below)
+# A step below 1 whose relative tolerance 1e-9 |h| is exactly 2^-40
+# (1e9 = 2^9 1953125, so H is exact). The grids below start at -T, so the
+# rounding allowance 8u max|t| = 2^-50 T is 2^-40 as well; their times lie
+# in [512, 1024] on multiples of 2^-43, so every time and spacing is exact.
 H = 1e9 * 2.0**-40
 TOL = 2.0**-40
+T = 1024.0
+EDGE = 2.0 * TOL  # 1e-9 |h| + 8u max|t|
 
 
 class TestRk4GridCheck:
     """Each grid outcome of ``rk4_solve``, with its exception and message
     (the one-point grid: ``TestRk4Solve``).
 
-    The uniformity test is two-sided and relative: a spacing off from the
-    first, h, by exactly 1e-9 |h| passes, and the next float past it fails,
+    The uniformity test is two-sided: a spacing off from the first, h, by
+    exactly 1e-9 |h| + 8u max|t| passes, and the next float past it fails,
     on either side of h, for steps below and above 1. Every spacing below
     is exact in binary, so the grids probe the comparison itself.
     """
@@ -293,23 +297,40 @@ class TestRk4GridCheck:
         return rk4_solve(MODEL_I, drive, StateVector.basis(1), np.array(grid))
 
     def test_spacing_above_h_by_the_tolerance_passes(self):
-        # h = H, then H + TOL: off by exactly 1e-9 |h|
-        assert 1e-9 * H == TOL
-        trace, _ = self.solve([-H, 0.0, H + TOL])
+        # h = H, then H + EDGE
+        assert 1e-9 * H == TOL and 8.0 * 2.0**-53 * T == TOL
+        trace, _ = self.solve([-T, H - T, 2.0 * H - T + EDGE])
         assert trace.populations.shape == (3, 4)
 
     def test_spacing_one_float_further_above_fails(self):
         with pytest.raises(ConfigurationError, match=NOT_UNIFORM):
-            self.solve([-H, 0.0, np.nextafter(H + TOL, 1.0)])
+            self.solve([-T, H - T, np.nextafter(2.0 * H - T + EDGE, 1.0)])
 
     def test_spacing_below_h_by_the_tolerance_passes(self):
-        # h = H, then H - TOL
-        trace, _ = self.solve([-H, 0.0, H - TOL])
+        # h = H, then H - EDGE
+        trace, _ = self.solve([-T, H - T, 2.0 * H - T - EDGE])
         assert trace.populations.shape == (3, 4)
 
     def test_spacing_one_float_further_below_fails(self):
         with pytest.raises(ConfigurationError, match=NOT_UNIFORM):
-            self.solve([-H, 0.0, np.nextafter(H - TOL, 0.0)])
+            self.solve([-T, H - T, np.nextafter(2.0 * H - T - EDGE, -T)])
+
+    def test_allowance_grows_with_max_t(self):
+        # from -2T the allowance is 2^-39, so h + 3 TOL passes where it
+        # failed from -T; these times lie on multiples of 2^-42
+        trace, _ = self.solve([-2.0 * T, H - 2.0 * T, 2.0 * H - 2.0 * T + 3.0 * TOL])
+        assert trace.populations.shape == (3, 4)
+        with pytest.raises(ConfigurationError, match=NOT_UNIFORM):
+            self.solve([-2.0 * T, H - 2.0 * T, np.nextafter(2.0 * H - 2.0 * T + 3.0 * TOL, 1.0)])
+
+    def test_offset_linspace_grid_passes(self):
+        # rounding alone spreads these spacings by 1.2e-7 |h|; an absolute
+        # 1e-9 tolerance took this grid, and so must the allowance
+        grid = np.linspace(1e6, 1e6 + 1.0, 1001)
+        spacings = np.diff(grid)
+        assert np.abs(spacings - spacings[0]).max() > 1e-7 * spacings[0]
+        trace, _ = self.solve(grid)
+        assert trace.populations.shape == (1001, 4)
 
     def test_alternating_small_spacings_fail(self):
         # spacings 1e-12 and 5e-10 in turn, with every frequency scaled by
@@ -327,25 +348,27 @@ class TestRk4GridCheck:
         # t -> 2^k t scales every spacing and the tolerance exactly; H(t) = 0
         # keeps the march stable at any step
         drive = resonant_drive(MODEL_I, (0.0, 0.0, 0.0), {tr: 0.0 for tr in MODEL_I.allowed})
-        edges = (H + TOL, H - TOL)
-        for k in range(-60, 61, 20):
+        edges = (2.0 * H - T + EDGE, 2.0 * H - T - EDGE)
+        for k in range(-60, 61):
             for last in edges:
-                trace, _ = self.solve([math.ldexp(t, k) for t in (-H, 0.0, last)], drive)
+                trace, _ = self.solve([math.ldexp(t, k) for t in (-T, H - T, last)], drive)
                 assert np.array_equal(trace.populations[-1], [1.0, 0.0, 0.0, 0.0])
-            for last in (np.nextafter(edges[0], 1.0), np.nextafter(edges[1], 0.0)):
+            for last in (np.nextafter(edges[0], 1.0), np.nextafter(edges[1], -T)):
                 with pytest.raises(ConfigurationError, match=NOT_UNIFORM):
-                    self.solve([math.ldexp(t, k) for t in (-H, 0.0, last)], drive)
+                    self.solve([math.ldexp(t, k) for t in (-T, H - T, last)], drive)
 
     def test_tolerance_scales_with_a_large_step(self):
-        # h = 1e9: the tolerance is 1e-9 |h| = 1.0 exactly; H(t) = 0 keeps
-        # the march stable at any step
+        # h = 1e9 from -2^50: 1e-9 |h| and 8u max|t| are 1.0 each, and the
+        # times lie on multiples of 1/8; H(t) = 0 keeps the march stable
         drive = resonant_drive(MODEL_I, (0.0, 0.0, 0.0), {tr: 0.0 for tr in MODEL_I.allowed})
-        for last in (2e9 + 1.0, 2e9 - 1.0):
-            trace, _ = self.solve([0.0, 1e9, last], drive)
+        start = -(2.0**50)
+        edges = (start + 2e9 + 2.0, start + 2e9 - 2.0)
+        for last in edges:
+            trace, _ = self.solve([start, start + 1e9, last], drive)
             assert np.array_equal(trace.populations[-1], [1.0, 0.0, 0.0, 0.0])
-        for last in (np.nextafter(2e9 + 1.0, np.inf), np.nextafter(2e9 - 1.0, 0.0)):
+        for last in (np.nextafter(edges[0], np.inf), np.nextafter(edges[1], start)):
             with pytest.raises(ConfigurationError, match=NOT_UNIFORM):
-                self.solve([0.0, 1e9, last], drive)
+                self.solve([start, start + 1e9, last], drive)
 
     def test_two_point_grid_is_one_step(self):
         trace, _ = self.solve([0.0, 1e-3])

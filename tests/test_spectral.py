@@ -453,8 +453,11 @@ def pinned_matrices(count=3000):
 FRAME_SCALE_EXPONENTS = (-1000, -600, -60, 60, 600, 1000)
 # sha256 of the Jacobi output for ``frame_matrices()`` and
 # ``zero_pattern_matrices()``, in that order; like ``JACOBI_DIGEST`` it
-# moves with any change to the solver's operation order (or to ``rotate``).
+# moves with any change to the solver's operation order. The inputs come
+# from ``resonant_drive`` and ``rotate``, so FRAME_INPUTS_DIGEST pins their
+# bytes: when only FRAME_DIGEST moves, the solver changed.
 FRAME_DIGEST = "731d027dd90335d7efb993707ad354778bf7dd723d332ad449b9a56fc57173b2"
+FRAME_INPUTS_DIGEST = "81b4f68cc1b14fc52328354ebe6e9023d1f49b51db88cf53ecdace511a455065"
 
 
 def frame_matrices(drives=25):
@@ -515,6 +518,12 @@ def solver_digest(matrices):
 class TestPinnedBits:
     def test_jacobi_digest(self):
         assert solver_digest(pinned_matrices()) == JACOBI_DIGEST
+
+    def test_frame_inputs_digest(self):
+        digest = hashlib.sha256()
+        for rows in frame_matrices() + zero_pattern_matrices():
+            digest.update(np.array(rows, dtype="<f8").tobytes())
+        assert digest.hexdigest() == FRAME_INPUTS_DIGEST
 
     def test_frame_digest(self):
         assert solver_digest(frame_matrices() + zero_pattern_matrices()) == FRAME_DIGEST
