@@ -52,7 +52,7 @@ from .spectral import (
 from .symmetry import (
     check_inversion,
     inversion_partner,
-    invert_drive,
+    relabel_drive,
     spin32_reduction,
 )
 
@@ -85,8 +85,8 @@ __all__ = [
     "hamiltonian_shift_form",
     "hamiltonian_t",
     "inversion_partner",
-    "invert_drive",
     "jacobi_eigh",
+    "relabel_drive",
     "resonant_drive",
     "rk4_solve",
     "rk4_solve_many",

@@ -471,8 +471,9 @@ def solve_frame(
     fr = rotate(model, drive)  # validates the drive first
     if not allow_nonresonant and not fr.is_resonant():
         raise ConfigurationError(
-            f"drive is off resonance (max detuning {fr.max_detuning():.2e}"
-            f" > {RESONANCE_TOL:.0e}); pass allow_nonresonant=True to proceed"
+            f"drive is off resonance: max detuning {fr.max_detuning():.2e} exceeds"
+            f" {RESONANCE_TOL:.0e} times the largest level gap or field frequency,"
+            f" {fr.scale:.2e}; pass allow_nonresonant=True to proceed"
         )
     return FrameSolution(frame=fr, eigensystem=jacobi_eigh(fr.h_tilde))
 

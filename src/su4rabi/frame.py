@@ -51,7 +51,8 @@ class RotatingFrame:
 
     ``K`` and ``diag_detunings`` are level-ordered 4-vectors; ``h_tilde`` is
     the 4x4 real symmetric frame matrix in row order (top level first).
-    ``detunings`` maps each allowed transition to D_ab.
+    ``detunings`` maps each allowed transition to D_ab, and ``scale`` is
+    the largest |E_a - E_b| or |w_ab| over them.
     """
 
     model: ModelConfig
@@ -59,12 +60,16 @@ class RotatingFrame:
     h_tilde: np.ndarray
     detunings: dict[Transition, float]
     diag_detunings: np.ndarray
+    scale: float
 
     def max_detuning(self) -> float:
         return max(abs(v) for v in self.detunings.values())
 
     def is_resonant(self) -> bool:
-        return self.max_detuning() < RESONANCE_TOL
+        """max|D_ab| <= RESONANCE_TOL * scale: the verdict holds under any
+        power-of-two rescaling of the drive, an all-zero drive counts, and a
+        level gap that overflows does not."""
+        return self.max_detuning() <= RESONANCE_TOL * self.scale < math.inf
 
 
 def frame_generator(model: ModelConfig, drive: DriveParams) -> np.ndarray:
@@ -95,12 +100,15 @@ def rotate(model: ModelConfig, drive: DriveParams) -> RotatingFrame:
     # row order: level 4 first
     rows = [[d4, 0.0, 0.0, 0.0], [0.0, d3, 0.0, 0.0], [0.0, 0.0, d2, 0.0], [0.0, 0.0, 0.0, d1]]
     detunings = {}
+    scale = 0.0
     for (a, b) in model.sorted_transitions():
         rows[row_of(a)][row_of(b)] = rows[row_of(b)][row_of(a)] = drive.coupling[(a, b)]
-        detunings[(a, b)] = float((energies[a - 1] - energies[b - 1]) - drive.field_freq[(a, b)])
+        gap, freq = energies[a - 1] - energies[b - 1], drive.field_freq[(a, b)]
+        detunings[(a, b)] = float(gap - freq)
+        scale = max(scale, abs(gap), abs(freq))
     return RotatingFrame(
         model=model, K=k_levels, h_tilde=np.array(rows, dtype=float),
-        detunings=detunings, diag_detunings=np.array(diag_det),
+        detunings=detunings, diag_detunings=np.array(diag_det), scale=float(scale),
     )
 
 

@@ -1,13 +1,17 @@
-"""Inversion symmetry between configurations and the spin-3/2 reduction.
+"""Symmetries between configurations and the spin-3/2 reduction.
 
-Flipping the level ladder upside down (i -> 5 - i, so a transition (a, b)
-maps to (5 - b, 5 - a)) sends each configuration's allowed set onto another
-configuration's: the catalog closes under inversion with partners
-I <-> VI, II <-> V, and III, IV fixed. Carrying the couplings along
-(kappa'_{(5-b)(5-a)} = kappa_ab) makes the two frame matrices conjugate by
-the anti-diagonal permutation J, so populations satisfy
+Each configuration's frame matrix, read in the order of its level path, is
+the ladder of its path-ordered couplings and level detunings. So a level
+map sigma that sends one configuration's path onto another's, read either
+way, carries a drive across exactly (``relabel_drive``): the two frame
+matrices are conjugate by the permutation of sigma, and
 
-    P'_{5-i}(t; start 5-j) = P_i(t; start j).
+    P'_{sigma(i)}(t; start sigma(j)) = P_i(t; start j).
+
+At resonance, then, the six configurations share one family of Rabi traces
+up to relabelling. The inversion is the ladder flip sigma(i) = 5 - i, the
+map onto the path ``tuple(5 - i for i in model.path)``; the catalog closes
+under it with partners I <-> VI, II <-> V, and III, IV fixed.
 
 A separate reduction: the ladder configuration III driven at resonance with
 couplings (sqrt(3) k, 2 k, sqrt(3) k) on (4,3), (3,2), (2,1) is exactly
@@ -18,7 +22,6 @@ the populations follow the binomial closed form
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -38,71 +41,49 @@ from .models import (
     get_model,
 )
 
-
-def map_level(level: int) -> int:
-    """The ladder flip i -> 5 - i."""
-    if level not in (1, 2, 3, 4):
-        raise ConfigurationError(f"level {level} outside 1..4")
-    return 5 - level
-
-
-# level i of a configuration lines up with level 5 - i of its partner
-_FLIPPED_LEVELS = tuple(map_level(i) for i in LEVELS)
-
-
-def map_transition(tr: Transition) -> Transition:
-    """Image of a transition under the ladder flip, kept upper-first."""
-    a, b = tr
-    return (5 - b, 5 - a)
+# every configuration under its path, read either way
+_BY_PATH = {p: m for m in catalog() for p in (m.path, m.path[::-1])}
 
 
 def inversion_partner(mid: ModelId | str) -> ModelId:
-    """The configuration whose allowed set is the flipped one."""
-    return _partner_of(get_model(mid).id)
+    """The configuration whose path is the flipped one, read either way."""
+    return _BY_PATH[tuple(5 - i for i in get_model(mid).path)].id
 
 
-@functools.cache
-def _partner_of(mid: ModelId) -> ModelId:
-    """``inversion_partner``'s catalog search, run once per configuration:
-    the catalog is fixed, and each ``symmetry`` command needs the partner
-    both for its drive and for its report."""
-    source = get_model(mid)
-    image = frozenset(map_transition(tr) for tr in source.allowed)
-    for candidate in catalog():
-        if candidate.allowed == image:
-            return candidate.id
-    raise ConfigurationError(
-        f"no catalog entry matches the inverted transitions of model {source.id}"
-    )
+def relabel_drive(
+    model: ModelConfig, drive: DriveParams, path
+) -> tuple[ModelConfig, DriveParams, tuple[int, ...]]:
+    """Carry a drive along the level map that sends ``model.path[k]`` to
+    ``path[k]``.
 
-
-def invert_drive(
-    model: ModelConfig, drive: DriveParams
-) -> tuple[ModelConfig, DriveParams]:
-    """Carry a drive across the inversion.
-
-    Couplings move with their transitions. Field frequencies are chosen so
-    the partner's transition detunings are the negatives of the source's,
-    which flips the per-level detunings upside down and makes the two frame
-    matrices exactly anti-diagonally conjugate; at resonance both sides are
-    simply resonant.
+    ``path`` must be a catalog path, read either way; the configuration
+    that has it is the target. Couplings move with their transitions; a
+    transition detuning keeps its sign where the map keeps the transition's
+    orientation and flips it where the map reverses it, and the target's
+    field is its level gap less the new detuning. Returns the target, its
+    drive and the level map as ``levels`` for
+    ``FrameSolution.max_population_gap`` (``levels[i - 1]`` is the image of
+    level i).
     """
     drive.validate_for(model)
-    partner = get_model(inversion_partner(model.id))
+    path = tuple(path)
+    target = _BY_PATH.get(path)
+    if target is None:
+        raise ConfigurationError(f"path {path} is not a catalog path, read either way")
+    image = dict(zip(model.path, path))
     src_energies = model.energies(drive.omega)
-    dst_energies = partner.energies(drive.omega)
+    dst_energies = target.energies(drive.omega)
     field_freq: dict[Transition, float] = {}
     coupling: dict[Transition, float] = {}
     for (a, b) in model.allowed:
         detuning = (src_energies[a - 1] - src_energies[b - 1]) - drive.field_freq[(a, b)]
-        ap, bp = map_transition((a, b))
+        ap, bp = image[a], image[b]
+        if ap < bp:
+            ap, bp, detuning = bp, ap, -detuning
         coupling[(ap, bp)] = drive.coupling[(a, b)]
-        field_freq[(ap, bp)] = float(
-            (dst_energies[ap - 1] - dst_energies[bp - 1]) + detuning
-        )
-    return partner, DriveParams(
-        omega=drive.omega, field_freq=field_freq, coupling=coupling
-    )
+        field_freq[(ap, bp)] = float((dst_energies[ap - 1] - dst_energies[bp - 1]) - detuning)
+    relabelled = DriveParams(omega=drive.omega, field_freq=field_freq, coupling=coupling)
+    return target, relabelled, tuple(image[i] for i in LEVELS)
 
 
 def check_inversion(
@@ -114,17 +95,19 @@ def check_inversion(
     """Max population deviation |P_i(t; start j) - P'_{5-i}(t; start 5-j)|
     across the grid, over every level i and start level j.
 
-    Each side is solved once, from its own frame matrix, so the check stays
-    independent of the source's spectrum; ``FrameSolution.max_population_gap``
-    compares the source's ten reciprocal level pairs with the partner's
-    under the ladder flip. Off-resonant drives are rejected unless
-    explicitly allowed (the mapping itself stays exact either way).
+    The drive is relabelled along the flipped path, and each side is solved
+    once, from its own frame matrix, so the check stays independent of the
+    source's spectrum; ``FrameSolution.max_population_gap`` compares the
+    source's ten reciprocal level pairs with the partner's under the level
+    map. Off-resonant drives are rejected unless explicitly allowed (the
+    mapping itself stays exact either way).
     """
     model = get_model(mid)
-    partner, partner_drive = invert_drive(model, drive)
+    flipped = tuple(5 - i for i in model.path)
+    partner, partner_drive, levels = relabel_drive(model, drive, flipped)
     source = solve_frame(model, drive, allow_nonresonant)
     mirror = solve_frame(partner, partner_drive, allow_nonresonant)
-    return source.max_population_gap(mirror, _FLIPPED_LEVELS, t_grid)
+    return source.max_population_gap(mirror, levels, t_grid)
 
 
 def spin32_couplings(kappa: float) -> dict[Transition, float]:

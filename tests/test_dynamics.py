@@ -601,6 +601,63 @@ class TestSpectralTrace:
         assert np.abs(trace.populations - exact.populations).max() < 1e-8
 
 
+def offset_fields(drive, offset):
+    """``drive`` with every field frequency raised by ``offset``."""
+    fields = {tr: w + offset for tr, w in drive.field_freq.items()}
+    return DriveParams(omega=drive.omega, field_freq=fields, coupling=drive.coupling)
+
+
+def scaled(drive, k):
+    """``drive`` with every splitting, field and coupling times 2^k."""
+    return DriveParams(
+        omega=tuple(math.ldexp(w, k) for w in drive.omega),
+        field_freq={tr: math.ldexp(w, k) for tr, w in drive.field_freq.items()},
+        coupling={tr: math.ldexp(v, k) for tr, v in drive.coupling.items()},
+    )
+
+
+class TestResonanceRule:
+    """``solve_frame`` takes a drive as resonant when
+    max|D_ab| <= 1e-12 max_ab max(|E_a - E_b|, |w_ab|)."""
+
+    def test_a_small_scale_detuning_is_refused(self):
+        # fields off by 0.1 2^-40, about 9e-14: an absolute 1e-12 took this
+        # drive for a resonant one
+        drive = scaled(offset_fields(CHAIN_DRIVE, 0.1), -40)
+        with pytest.raises(ConfigurationError, match="times the largest level gap or field"):
+            solve_frame(MODEL_I, drive)
+        solve_frame(MODEL_I, drive, allow_nonresonant=True)
+
+    # model I's largest level gap is 4 at OMEGA, so the rule admits a
+    # detuning of up to 4e-12: 2e-12 is inside, 8e-12 outside
+    @pytest.mark.parametrize(
+        "offset, resonant", [(0.0, True), (2e-12, True), (8e-12, False), (0.1, False)]
+    )
+    def test_the_verdict_is_the_same_under_power_of_two_rescaling(self, offset, resonant):
+        base = offset_fields(CHAIN_DRIVE, offset)
+        for k in range(-60, 61):
+            drive = scaled(base, k)
+            if resonant:
+                solve_frame(MODEL_I, drive)
+            else:
+                with pytest.raises(ConfigurationError, match="off resonance"):
+                    solve_frame(MODEL_I, drive)
+
+    def test_an_all_zero_drive_is_resonant(self):
+        drive = resonant_drive(MODEL_I, (0.0, 0.0, 0.0), {tr: 0.0 for tr in MODEL_I.allowed})
+        assert solve_frame(MODEL_I, drive).frame.is_resonant()
+
+    def test_an_overflowing_level_gap_is_not_resonant(self):
+        # E3 - E2 = 2e308 overflows; inf <= 1e-12 inf must not pass
+        drive = DriveParams(
+            omega=(1.0, 1.0, 1e308),
+            field_freq={tr: 1.0 for tr in MODEL_I.allowed},
+            coupling=CHAIN_COUPLINGS,
+        )
+        with pytest.raises(ConfigurationError, match="off resonance"):
+            solve_frame(MODEL_I, drive)
+
+
 unit_states = st.lists(
     st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
     min_size=4, max_size=4,

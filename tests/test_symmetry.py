@@ -1,6 +1,8 @@
-"""Tests for the ladder-flip symmetry and the spin-3/2 reduction."""
+"""Tests for the path relabelling, the ladder flip and the spin-3/2 reduction."""
 
 import math
+import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,17 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su4rabi import symmetry
-from su4rabi.dynamics import trace_via_spectral
+from su4rabi.dynamics import solve_frame, trace_via_spectral
 from su4rabi.errors import ConfigurationError
 from su4rabi.frame import resonant_drive, rotate
-from su4rabi.models import DriveParams, ModelId, StateVector, get_model
+from su4rabi.models import DriveParams, ModelId, StateVector, catalog, get_model
 from su4rabi.spectral import jacobi_eigh
 from su4rabi.symmetry import (
     check_inversion,
     inversion_partner,
-    invert_drive,
-    map_level,
-    map_transition,
+    relabel_drive,
     spin32_closed_form,
     spin32_couplings,
     spin32_frame_matrix,
@@ -41,6 +41,12 @@ EXPECTED_PARTNERS = {
 }
 
 ALL_IDS = ["I", "II", "III", "IV", "V", "VI"]
+U = 2.0**-53
+
+
+def flipped(model):
+    """The ladder flip i -> 5 - i, as the path it maps the model onto."""
+    return tuple(5 - i for i in model.path)
 
 
 def standard_drive(mid):
@@ -59,24 +65,47 @@ def detuned_drive(mid):
     return model, DriveParams(omega=OMEGA, field_freq=fields, coupling=base.coupling)
 
 
+def random_drive(model, rng, detuned):
+    """Splittings 0.5-3 and couplings 0.05-1; detuned, each transition
+    detuning drawn from [-0.5, 0.5]."""
+    omega = tuple(rng.uniform(0.5, 3.0) for _ in range(3))
+    coupling = {tr: rng.uniform(0.05, 1.0) for tr in sorted(model.allowed)}
+    drive = resonant_drive(model, omega, coupling)
+    if not detuned:
+        return drive
+    fields = {tr: drive.field_freq[tr] - rng.uniform(-0.5, 0.5) for tr in sorted(model.allowed)}
+    return DriveParams(omega=omega, field_freq=fields, coupling=coupling)
+
+
+def negated(model, drive, transitions):
+    """``drive`` with the detuning of each of ``transitions`` negated."""
+    energies = model.energies(drive.omega)
+    detunings = rotate(model, drive).detunings
+    fields = dict(drive.field_freq)
+    for (a, b) in transitions:
+        fields[(a, b)] = (energies[a - 1] - energies[b - 1]) + detunings[(a, b)]
+    return DriveParams(omega=drive.omega, field_freq=fields, coupling=drive.coupling)
+
+
+def gap_bound(mine, theirs, t_max):
+    """The largest population gap two solutions may show where their exact
+    populations agree, derived from the documented budgets.
+
+    Each side evaluates a propagator within eps = (9 + 7.9) u max|L| max|t|
+    of the exact one in norm: the phase table adds at most 9u max|L| max|t|
+    to the phases, and the Jacobi eigensystem is taken as exact for a matrix
+    within 7.9u max|L| (the solver's documented eigenvalue error, read as a
+    backward error), which the evolution carries over max|t|. A population is |a_i|^2 of a unit column a of the propagator,
+    and for unit vectors ||a_i|^2 - |b_i|^2| <= sqrt(1 - |<a, b>|^2)
+    <= ||a - b||, so it moves by at most eps. The evaluation's own rounding
+    (a four-term product, its square and a sum of two squares) adds at most
+    8u. Two sides: 2 (16.9 max|L| max|t| + 8) u <= (34 max|L| max|t| + 16) u.
+    """
+    lam = max(np.abs(mine.eigensystem.eigenvalues).max(), np.abs(theirs.eigensystem.eigenvalues).max())
+    return (34.0 * lam * t_max + 16.0) * U
+
+
 class TestLadderFlip:
-    def test_map_level_swaps_ends(self):
-        assert [map_level(i) for i in (1, 2, 3, 4)] == [4, 3, 2, 1]
-
-    def test_map_level_rejects_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            map_level(0)
-        with pytest.raises(ConfigurationError):
-            map_level(5)
-
-    def test_map_transition_keeps_upper_first(self):
-        assert map_transition((4, 1)) == (4, 1)
-        assert map_transition((3, 2)) == (3, 2)
-        assert map_transition((4, 3)) == (2, 1)
-        assert map_transition((2, 1)) == (4, 3)
-        assert map_transition((4, 2)) == (3, 1)
-        assert map_transition((3, 1)) == (4, 2)
-
     def test_partners_match_expected_table(self):
         for mid in ALL_IDS:
             assert inversion_partner(mid) == EXPECTED_PARTNERS[ModelId(mid)]
@@ -85,11 +114,18 @@ class TestLadderFlip:
         for mid in ALL_IDS:
             assert inversion_partner(inversion_partner(mid)) == ModelId(mid)
 
+    def test_flipped_path_targets_the_expected_partner(self):
+        for mid in ALL_IDS:
+            model, drive = standard_drive(mid)
+            partner, _, levels = relabel_drive(model, drive, flipped(model))
+            assert partner.id == EXPECTED_PARTNERS[ModelId(mid)]
+            assert levels == (4, 3, 2, 1)
 
-class TestInvertDrive:
+
+class TestFlippedDrive:
     def test_couplings_travel_with_transitions(self):
         model, drive = standard_drive("I")
-        partner, pdrive = invert_drive(model, drive)
+        partner, pdrive, _ = relabel_drive(model, drive, flipped(model))
         assert partner.id == ModelId.VI
         assert pdrive.coupling[(4, 1)] == drive.coupling[(4, 1)]
         assert pdrive.coupling[(3, 2)] == drive.coupling[(3, 2)]
@@ -98,7 +134,7 @@ class TestInvertDrive:
     def test_resonant_drive_maps_to_resonant_drive(self):
         for mid in ALL_IDS:
             model, drive = standard_drive(mid)
-            partner, pdrive = invert_drive(model, drive)
+            partner, pdrive, _ = relabel_drive(model, drive, flipped(model))
             assert rotate(partner, pdrive).max_detuning() < 1e-12
 
     def test_detunings_negate(self):
@@ -107,16 +143,16 @@ class TestInvertDrive:
         fields[(4, 3)] += 0.2
         fields[(2, 1)] -= 0.07
         drive = DriveParams(omega=OMEGA, field_freq=fields, coupling=base.coupling)
-        partner, pdrive = invert_drive(model, drive)
+        partner, pdrive, _ = relabel_drive(model, drive, flipped(model))
         src = rotate(model, drive).detunings
         dst = rotate(partner, pdrive).detunings
-        for tr, value in src.items():
-            assert dst[map_transition(tr)] == pytest.approx(-value, abs=1e-12)
+        for (a, b), value in src.items():
+            assert dst[(5 - b, 5 - a)] == pytest.approx(-value, abs=1e-12)
 
     def test_frame_matrices_antidiagonally_conjugate(self):
         for mid in ALL_IDS:
             model, drive = standard_drive(mid)
-            partner, pdrive = invert_drive(model, drive)
+            partner, pdrive, _ = relabel_drive(model, drive, flipped(model))
             h_src = rotate(model, drive).h_tilde
             h_dst = rotate(partner, pdrive).h_tilde
             assert np.abs(h_dst - ANTIDIAG @ h_src @ ANTIDIAG).max() < 1e-14
@@ -126,10 +162,80 @@ class TestInvertDrive:
         fields = dict(base.field_freq)
         fields[(4, 1)] += 0.5
         drive = DriveParams(omega=OMEGA, field_freq=fields, coupling=base.coupling)
-        partner, pdrive = invert_drive(model, drive)
+        partner, pdrive, _ = relabel_drive(model, drive, flipped(model))
         h_src = rotate(model, drive).h_tilde
         h_dst = rotate(partner, pdrive).h_tilde
         assert np.abs(h_dst - ANTIDIAG @ h_src @ ANTIDIAG).max() < 1e-14
+
+    @pytest.mark.parametrize("detuned", [False, True], ids=["resonant", "detuned"])
+    @pytest.mark.parametrize("mid", ALL_IDS)
+    def test_fields_carry_the_negated_detunings_bit_for_bit(self, mid, detuned):
+        # the flip reverses every transition, so each partner field is its
+        # level gap plus the source detuning, to the last bit; a sign error on
+        # every transition at once would pass every population test, since
+        # negating all detunings is itself a symmetry (TestPathMaps)
+        model, drive = (detuned_drive if detuned else standard_drive)(mid)
+        partner, pdrive, _ = relabel_drive(model, drive, flipped(model))
+        src = model.energies(OMEGA)
+        dst = partner.energies(OMEGA)
+        for (a, b), field in drive.field_freq.items():
+            detuning = (src[a - 1] - src[b - 1]) - field
+            image = (5 - b, 5 - a)
+            assert pdrive.field_freq[image] == (dst[4 - b] - dst[4 - a]) + detuning
+            assert pdrive.coupling[image] == drive.coupling[(a, b)]
+
+    @pytest.mark.parametrize("path", [(1, 3, 2, 4), (4, 2, 3, 1), (1, 1, 2, 3), (1, 2, 3)])
+    def test_a_path_off_the_catalog_is_a_configuration_error(self, path):
+        model, drive = standard_drive("I")
+        with pytest.raises(ConfigurationError, match=re.escape(f"path {path}")):
+            relabel_drive(model, drive, path)
+
+
+class TestPathMaps:
+    """Every configuration relabelled onto every catalog path, read either
+    way: 36 ordered model pairs, 72 level maps."""
+
+    GRID = np.linspace(0.0, 50.0, 2001)
+
+    @pytest.mark.parametrize("detuned", [False, True], ids=["resonant", "detuned"])
+    @pytest.mark.parametrize("mid", ALL_IDS)
+    def test_every_path_map_keeps_the_populations(self, mid, detuned):
+        model = get_model(mid)
+        rng = random.Random(f"{mid}-{detuned}")
+        for _ in range(4):
+            drive = random_drive(model, rng, detuned)
+            mine = solve_frame(model, drive, detuned)
+            for target in catalog():
+                for path in (target.path, target.path[::-1]):
+                    got, tdrive, levels = relabel_drive(model, drive, path)
+                    assert got is target
+                    for (a, b), kappa in drive.coupling.items():
+                        image = (max(levels[a - 1], levels[b - 1]), min(levels[a - 1], levels[b - 1]))
+                        assert tdrive.coupling[image] == kappa
+                    theirs = solve_frame(target, tdrive, detuned)
+                    gap = mine.max_population_gap(theirs, levels, self.GRID)
+                    assert gap <= gap_bound(mine, theirs, 50.0)
+
+    @pytest.mark.parametrize("mid", ALL_IDS)
+    def test_negating_every_detuning_keeps_the_populations(self, mid):
+        # the path is bipartite: a sign on alternate levels takes the frame
+        # matrix to minus itself with the couplings fixed, and U(-t) is the
+        # complex conjugate of U(t) for a real symmetric matrix
+        model, drive = detuned_drive(mid)
+        mine = solve_frame(model, drive, True)
+        theirs = solve_frame(model, negated(model, drive, model.allowed), True)
+        assert mine.max_population_gap(theirs, (1, 2, 3, 4), self.GRID) <= gap_bound(mine, theirs, 50.0)
+
+    @pytest.mark.parametrize("mid", ALL_IDS)
+    def test_one_negated_detuning_is_seen(self, mid):
+        # a map that got one transition's orientation wrong would hand the
+        # target this drive; the smallest gap measured is 0.34
+        model, drive = detuned_drive(mid)
+        mine = solve_frame(model, drive, True)
+        partner, pdrive, levels = relabel_drive(model, drive, flipped(model))
+        for tr in sorted(partner.allowed):
+            theirs = solve_frame(partner, negated(partner, pdrive, [tr]), True)
+            assert mine.max_population_gap(theirs, levels, self.GRID) > 1e-3
 
 
 class TestCheckInversion:
@@ -155,7 +261,7 @@ class TestCheckInversion:
         # pairs of the per-state traces, which the ten reciprocal pairs of
         # the check must give bit for bit
         model, drive = (detuned_drive if detuned else standard_drive)(mid)
-        partner, pdrive = invert_drive(model, drive)
+        partner, pdrive, _ = relabel_drive(model, drive, flipped(model))
         grid = np.linspace(0.0, 20.0, points)
         worst = 0.0
         for level in (1, 2, 3, 4):
@@ -168,17 +274,17 @@ class TestCheckInversion:
     def test_a_wrong_partner_coupling_is_reported(self, mid, monkeypatch):
         # a check that compared one side with itself would read 0 here, and
         # would meet every rounding-level bound above
-        invert = symmetry.invert_drive
+        relabel = symmetry.relabel_drive
 
-        def skewed(model, drive):
-            partner, pdrive = invert(model, drive)
+        def skewed(model, drive, path):
+            partner, pdrive, levels = relabel(model, drive, path)
             coupling = dict(pdrive.coupling)
             coupling[min(coupling)] *= 1.1
             return partner, DriveParams(
                 omega=pdrive.omega, field_freq=pdrive.field_freq, coupling=coupling
-            )
+            ), levels
 
-        monkeypatch.setattr(symmetry, "invert_drive", skewed)
+        monkeypatch.setattr(symmetry, "relabel_drive", skewed)
         _, drive = standard_drive(mid)
         assert check_inversion(mid, drive, np.linspace(0.0, 20.0, 2001)) > 1e-3
 
