@@ -13,9 +13,11 @@ The spectral route has two evaluation kernels behind one set of checks.
 diagonalizes it once; the resulting ``FrameSolution`` checks a grid and
 computes one pair of phase planes, cos(L t) and sin(L t), for every
 state it evaluates there. ``populations`` and ``amplitudes`` take any
-initial states, basis levels included: each state's real and imaginary
-parts are one real (8, 8) @ (8, n) GEMM of the planes, and its
-populations are re^2 + im^2. The frame matrix is real symmetric, so the
+initial states, basis levels included: with w = T c(0) formed state by
+state, the parts [Re c; Im c] of all k states are one batched real
+(k, 8, 8) @ (8, n) product of the planes, and the populations are
+re^2 + im^2; one state peaks at 128 B per grid point, k states at
+max(64 (k + 1), 96 k) B. The frame matrix is real symmetric, so the
 propagator U(t) = T.T exp(-i L t) T is complex symmetric and the
 populations are reciprocal, P_{i<-j}(t) = P_{j<-i}(t); the ten pairs
 i <= j hold all sixteen of the basis starts. The pair kernel serves only
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -364,35 +366,25 @@ class FrameSolution:
             )
         return _phase_planes(t_grid, lam, t_abs), self.eigensystem.diagonalizer.T[::-1]
 
-    def _evaluate(
-        self,
-        states: Sequence[StateVector],
-        t_grid,
-        finish: Callable[[np.ndarray], np.ndarray],
-    ) -> list[np.ndarray]:
-        """``finish`` of [Re c; Im c], the (8, n) parts of each state's
-        level-ordered frame amplitudes c.
+    def _parts(self, states: Iterable[StateVector], t_grid) -> np.ndarray:
+        """[Re c; Im c], the (k, 8, n) parts of the level-ordered frame
+        amplitudes c of the k states, which may come as any iterable.
 
-        The grid is checked and the phase planes are computed once for all
-        states. With w = T c(0) = a + i b, exp(-i L t) w has the real part
-        a cos + b sin and the imaginary part b cos - a sin, so each state's
-        parts are one real (8, 8) @ (8, n) GEMM of the planes, written into
-        one buffer that every state reuses.
+        The grid is checked and the phase planes are computed once. With
+        w = T c(0) = a + i b, one product per state, exp(-i L t) w has the
+        real part a cos + b sin and the imaginary part b cos - a sin: one
+        batched real (k, 8, 8) @ (8, n) product of the planes.
         """
         planes, back = self._planes(t_grid)
+        states = list(states)
         t_mat = self.eigensystem.diagonalizer
-        mix = np.empty((8, 8))
-        top = mix[:4].reshape(4, 2, 4)  # [back * a | back * b], w's parts as rows
-        parts = np.empty(planes.shape)
-        results = []
-        for c0 in states:
+        mix = np.empty((len(states), 2, 4, 2, 4))  # [[back a, back b], [back b, -back a]]
+        for c0, top in zip(states, mix[:, 0]):
             w = t_mat @ to_row_order(c0.amplitudes)
             np.multiply(back[:, None], w.view(float).reshape(4, 2).T, out=top)
-            mix[4:, :4] = top[:, 1]
-            np.negative(top[:, 0], out=mix[4:, 4:])
-            np.matmul(mix, planes, out=parts)
-            results.append(finish(parts))
-        return results
+        mix[:, 1, :, 0] = mix[:, 0, :, 1]
+        np.negative(mix[:, 0, :, 0], out=mix[:, 1, :, 1])
+        return mix.reshape(-1, 8, 8) @ planes
 
     def _pair_table(self, t_grid, out: np.ndarray, levels) -> np.ndarray:
         """Populations of ten level pairs, one row per pair and one column
@@ -438,25 +430,23 @@ class FrameSolution:
         np.abs(mine, out=mine)
         return float(mine.max())
 
-    def populations(self, states: Sequence[StateVector], t_grid) -> list[np.ndarray]:
+    def populations(self, states: Iterable[StateVector], t_grid) -> list[np.ndarray]:
         """Level-ordered populations of each state, one row per grid time.
 
         re^2 + im^2 of the frame amplitudes. A non-finite grid is a
         ConfigurationError, phases past their accuracy a NumericsError.
         """
+        parts = self._parts(states, t_grid)
+        parts *= parts
+        return list(np.add(parts[:, :4], parts[:, 4:]).transpose(0, 2, 1))
 
-        def squares(parts: np.ndarray) -> np.ndarray:
-            parts *= parts
-            return np.add(parts[:4], parts[4:]).T
-
-        return self._evaluate(states, t_grid, squares)
-
-    def amplitudes(self, states: Sequence[StateVector], t_grid) -> list[np.ndarray]:
+    def amplitudes(self, states: Iterable[StateVector], t_grid) -> list[np.ndarray]:
         """Level-ordered frame amplitudes of each state, one row per grid time.
 
         re + i im from the same kernel as ``populations``.
         """
-        return self._evaluate(states, t_grid, lambda parts: (parts[:4] + 1j * parts[4:]).T)
+        parts = self._parts(states, t_grid)
+        return list((parts[:, :4] + 1j * parts[:, 4:]).transpose(0, 2, 1))
 
 
 def solve_frame(

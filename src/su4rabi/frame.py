@@ -136,14 +136,17 @@ def check_time_independence(
 
     With the solved generator the drift is rounding noise; passing a wrong
     ``k_levels`` leaves oscillating phases and a visible residual. All
-    sample times are evaluated by one array call.
+    sample times, at least two and all finite, go into one array call.
     """
-    times = list(sample_times)
+    times = np.array(list(sample_times), dtype=float)
     if len(times) < 2:
         raise ConfigurationError("need at least two sample times")
+    bad = times[~np.isfinite(times)]
+    if bad.size:
+        raise ConfigurationError(f"sample time {bad[0]} is not finite")
     if k_levels is None:
         k_levels = frame_generator(model, drive)
-    matrices = transform_at(model, drive, np.array(times, dtype=float), k_levels)
+    matrices = transform_at(model, drive, times, k_levels)
     return float(np.abs(matrices[1:] - matrices[0]).max())
 
 

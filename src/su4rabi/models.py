@@ -156,7 +156,11 @@ def catalog() -> tuple[ModelConfig, ...]:
 
 
 def get_model(mid: ModelId | str) -> ModelConfig:
-    return _BY_ID[ModelId(mid)]
+    """The configuration of id ``mid``; an unknown id is a ConfigurationError."""
+    try:
+        return _BY_ID[ModelId(mid)]
+    except ValueError:
+        raise ConfigurationError(f"unknown model {mid!r}; choose from {', '.join(ModelId)}") from None
 
 
 @dataclass(frozen=True)
@@ -316,6 +320,8 @@ class StateVector:
 
     @classmethod
     def basis(cls, level: int) -> "StateVector":
+        if not isinstance(level, (int, np.integer)):  # 2.0 passes the test below
+            raise ConfigurationError(f"level {level!r} is not an integer 1..4")
         if level not in LEVELS:
             raise ConfigurationError(f"level {level} outside 1..4")
         amps = np.zeros(4, dtype=complex)

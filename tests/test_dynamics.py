@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, target
+from hypothesis import event, example, given, settings, target
 from hypothesis import strategies as st
 
 from su4rabi import dynamics
@@ -667,23 +667,41 @@ unit_states = st.lists(
 
 
 class TestFrameSolution:
+    @pytest.mark.parametrize("grid", [
+        uniform_grid(20.0, 201),  # one cos and one sin per value
+        uniform_grid(50.0, 2001),  # the angle-addition table
+        np.linspace(-13.0, 37.0, 3001),  # the table, on a grid crossing zero
+    ], ids=["pointwise", "table", "zero-crossing"])
+    @pytest.mark.parametrize("as_generator", [False, True], ids=["list", "generator"])
     @given(
-        st.sampled_from([m.id.value for m in catalog()]),
-        st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
-        st.lists(unit_states, min_size=2, max_size=4),
+        mid=st.sampled_from([m.id.value for m in catalog()]),
+        detunings=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+        states=st.lists(unit_states, min_size=0, max_size=4),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_states_evaluated_together_match_separate_traces(self, mid, detunings, states):
-        # the phase planes are shared by every state; each state's populations
-        # must still be bit for bit those of its own single-state trace
+    @example(mid="I", detunings=[0.0, 0.0, 0.0], states=[])
+    @settings(max_examples=30, deadline=None)
+    def test_states_evaluated_together_match_separate_traces(
+        self, grid, as_generator, mid, detunings, states
+    ):
+        # the phase planes and one batched product serve every state; each
+        # state's populations and amplitudes must still be bit for bit those
+        # of its own single-state call, whether the states come as a list or
+        # a generator, and no states give no results
         model = get_model(mid)
         drive = off_resonant_drive(model, detunings, RAMP_COUPLINGS)
-        grid = uniform_grid(20.0, 201)
-        together = solve_frame(model, drive, allow_nonresonant=True).populations(states, grid)
-        assert len(together) == len(states)
-        for c0, pops in zip(states, together):
+        solution = solve_frame(model, drive, allow_nonresonant=True)
+
+        def given_states():
+            return (c0 for c0 in states) if as_generator else states
+
+        pops = solution.populations(given_states(), grid)
+        amps = solution.amplitudes(given_states(), grid)
+        assert len(pops) == len(amps) == len(states)
+        for c0, together, amplitudes in zip(states, pops, amps):
             alone = trace_via_spectral(model, drive, c0, grid, allow_nonresonant=True)
-            assert np.array_equal(pops, alone.populations)
+            assert np.array_equal(together, alone.populations)
+            (amplitudes_alone,) = solution.amplitudes([c0], grid)
+            assert np.array_equal(amplitudes, amplitudes_alone)
 
     def test_phase_overflow_raises(self):
         drive = resonant_drive(MODEL_I, OMEGA, {(4, 1): 1e308, (3, 2): 0.24, (2, 1): 0.24})
@@ -730,6 +748,53 @@ class TestFrameSolution:
         for grid in (np.array([]), np.zeros((2, 2))):
             with pytest.raises(ConfigurationError, match="non-empty 1-d"):
                 solution.amplitudes([StateVector.basis(1)], grid)
+
+
+def outcome(route, model, drive, c0, grid):
+    """The populations a route gives, or the class of the error it raises."""
+    try:
+        if route == "rk4":
+            trace, _ = rk4_solve(model, drive, c0, grid)
+        else:
+            trace = trace_via_spectral(model, drive, c0, grid, allow_nonresonant=True)
+    except (ConfigurationError, NumericsError) as exc:
+        return type(exc)
+    return trace.populations
+
+
+class TestPowerOfTwoRescaling:
+    """H -> 2^k H with t -> 2^-k t leaves every product of an energy and a
+    time unchanged, so both routes must give the very same bits, and a
+    refusal must stay a refusal of the same class."""
+
+    @given(
+        mid=st.sampled_from([m.id.value for m in catalog()]),
+        detunings=st.one_of(
+            st.just(list(RESONANT)),
+            st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+        ),
+        couplings=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+        c0=st.one_of(st.sampled_from(BASIS_STATES), unit_states),
+        t_max=st.floats(1e-3, 50.0),
+        points=st.integers(2, 201),
+        k=st.integers(-40, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_both_routes_are_exact_under_rescaling(
+        self, mid, detunings, couplings, c0, t_max, points, k
+    ):
+        model = get_model(mid)
+        drive = off_resonant_drive(model, detunings, couplings)
+        grid = uniform_grid(t_max, points)
+        for route in ("rk4", "spectral"):
+            base = outcome(route, model, drive, c0, grid)
+            rescaled = outcome(route, model, scaled(drive, k), c0, np.ldexp(grid, -k))
+            event(f"{route}: {base.__name__ if isinstance(base, type) else 'populations'}")
+            if isinstance(base, type):
+                assert rescaled is base
+            else:
+                assert not isinstance(rescaled, type), rescaled
+                assert np.array_equal(rescaled, base)
 
 
 class TestBasisPopulations:

@@ -1,8 +1,10 @@
 """Frame generator, detunings, and time independence."""
 
 import hashlib
+import math
 import random
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +234,18 @@ class TestTimeIndependence:
     def test_needs_two_samples(self):
         with pytest.raises(ConfigurationError):
             check_time_independence(get_model("I"), generic_drive(get_model("I")), (0.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_refuses_non_finite_sample_time(self, bad, where):
+        # a non-finite time once gave a nan drift and a RuntimeWarning
+        times = [0.0, 1.0, 2.0]
+        times[where] = bad
+        m = get_model("I")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=rf"sample time {bad} is not finite"):
+                check_time_independence(m, generic_drive(m), times)
 
     def test_array_evaluation_matches_per_time_loop(self):
         # one array call over all sample times gives the very bits of the

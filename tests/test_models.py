@@ -68,6 +68,14 @@ class TestCatalog:
         assert get_model("IV").id is ModelId.IV
         assert get_model(ModelId.VI).id is ModelId.VI
 
+    @pytest.mark.parametrize("mid", ["VII", "i", "", None])
+    def test_get_model_refuses_unknown_id(self, mid):
+        # an unknown id is a configuration error naming the id and the six
+        # valid ones, not the enum's bare ValueError
+        with pytest.raises(ConfigurationError) as exc:
+            get_model(mid)
+        assert str(exc.value) == f"unknown model {mid!r}; choose from I, II, III, IV, V, VI"
+
 
 class TestEnergies:
     def test_chain_example(self):
@@ -235,6 +243,17 @@ class TestStateVector:
     def test_basis_rejects_level_outside_1_to_4(self, level):
         with pytest.raises(ConfigurationError, match="outside 1..4"):
             StateVector.basis(level)
+
+    @pytest.mark.parametrize("level", [2.0, np.float64(3.0), 1.5, "1"])
+    def test_basis_rejects_non_integer_level(self, level):
+        # 2.0 == 2 passes the level test, but a float is no index
+        with pytest.raises(ConfigurationError, match="is not an integer 1..4"):
+            StateVector.basis(level)
+
+    @pytest.mark.parametrize("level", [np.int64(2), np.int32(4), np.uint8(1)])
+    def test_basis_takes_numpy_integer_levels(self, level):
+        expected = StateVector.basis(int(level)).amplitudes
+        assert np.array_equal(StateVector.basis(level).amplitudes, expected)
 
     def test_rejects_nan_amplitudes(self):
         with pytest.raises(ConfigurationError):

@@ -110,6 +110,13 @@ class TestLadderFlip:
         for mid in ALL_IDS:
             assert inversion_partner(mid) == EXPECTED_PARTNERS[ModelId(mid)]
 
+    def test_unknown_id_is_a_configuration_error(self):
+        _, drive = standard_drive("I")
+        for call in (lambda: inversion_partner("VII"),
+                     lambda: check_inversion("VII", drive, np.linspace(0.0, 1.0, 5))):
+            with pytest.raises(ConfigurationError, match=r"unknown model 'VII'; choose from I, II"):
+                call()
+
     def test_partnering_is_an_involution(self):
         for mid in ALL_IDS:
             assert inversion_partner(inversion_partner(mid)) == ModelId(mid)
