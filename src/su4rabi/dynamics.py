@@ -8,7 +8,8 @@ frame invariant (the frame transformation is a diagonal unitary), so the two
 must agree wherever both apply, which is the backbone cross-check of the
 whole package.
 
-The spectral route has two evaluation kernels behind one set of checks.
+Both routes take their times through ``models.check_times``. The spectral
+route has two evaluation kernels behind one set of checks.
 ``solve_frame`` builds the rotating frame of one (model, drive) pair and
 diagonalizes it once; the resulting ``FrameSolution`` checks a grid and
 computes one pair of phase planes, cos(L t) and sin(L t), for every
@@ -45,7 +46,7 @@ the maps serves an (8, k) block of k start states: ``rk4_solve_many``
 marches every state of a (model, drive) at once, ``rk4_solve`` is its
 one-state case, and ``_march`` runs each block of m steps as a
 group-major two-level prefix product in about 2 sqrt(m) Python-level
-calls. The populations are x^2 + y^2.
+calls. The populations are x^2 + y^2; the drift check alone judges the norm.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .models import (
     ModelConfig,
     PopulationTrace,
     StateVector,
+    check_times,
     hamiltonian_table,
     to_level_order,
     to_row_order,
@@ -77,21 +79,6 @@ __all__ = [
     "solve_frame",
     "trace_via_spectral",
 ]
-
-
-def _check_grid(t_grid) -> tuple[np.ndarray, float]:
-    """The grid as a float array and its max|t|.
-
-    Both routes call this: a grid that is not a non-empty 1-d array of
-    finite times is a ConfigurationError.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1:
-        raise ConfigurationError("time grid must be a non-empty 1-d array")
-    t_abs = float(np.abs(t_grid).max())  # nan if any time is nan
-    if not math.isfinite(t_abs):
-        raise ConfigurationError(f"time grid must be finite, got max|t| = {t_abs}")
-    return t_grid, t_abs
 
 
 def _stage(a: np.ndarray, k: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
@@ -168,25 +155,26 @@ _RK4_NORM_TOL = 1e-6
 
 def rk4_solve_many(
     model: ModelConfig, drive: DriveParams, states: Sequence[StateVector], t_grid
-) -> list[tuple[PopulationTrace, StateVector]]:
+) -> list[tuple[PopulationTrace, np.ndarray]]:
     """Fixed-step RK4 march of several initial states over a uniform grid.
 
     One (trace, final state) pair per state, in order; each trace holds the
-    populations at every grid point. The step maps of each block of up to
+    populations at every grid point, and each final state is a read-only,
+    level-ordered complex 4-vector. The step maps of each block of up to
     4096 steps use only samples of the lab-frame H(t), never the rotating
     frame, and are built once for all states. An empty state list, or a
-    grid that is non-finite, not strictly increasing, not uniform (a
-    spacing off the first, h, by more than 1e-9 |h| + 8u max|t|; the second
-    term allows for the rounding of the grid times themselves) or whose
-    spacing overflows, is a ConfigurationError. NumericsError when a state
-    leaves the finite range or its final norm drifts from 1 by more than
-    1e-6 (the step was far too coarse for the couplings involved).
+    grid that ``check_times`` refuses, not strictly increasing, not uniform
+    (a spacing off the first, h, by more than 1e-9 |h| + 8u max|t|; the
+    second term allows for the rounding of the grid times themselves) or
+    whose spacing overflows, is a ConfigurationError. NumericsError when a
+    state leaves the finite range or its final norm drifts from 1 by more
+    than 1e-6 (the step was far too coarse for the couplings involved).
     """
     k = len(states)
     if k == 0:
         raise ConfigurationError("rk4_solve_many needs at least one initial state")
     table = hamiltonian_table(model, drive)
-    t_grid, t_abs = _check_grid(t_grid)
+    t_grid, t_abs = check_times(t_grid)
     t0, n_steps, h = float(t_grid[0]), t_grid.size - 1, 0.0
     # a spacing or a divergent march must overflow to inf/nan silently; the
     # checks below turn that into a ConfigurationError or a NumericsError
@@ -221,7 +209,8 @@ def rk4_solve_many(
             times += t0
             maps = _rk4_step_matrices(table, times, h, work)
             marched[start + 1 : stop + 1] = _march(maps, marched[start])
-        finals = marched[-1, :4] + 1j * marched[-1, 4:]
+        finals = to_level_order(marched[-1, :4] + 1j * marched[-1, 4:]).T.copy()
+        finals.setflags(write=False)
         marched *= marched
         pops_rows = marched[:, :4] + marched[:, 4:]
 
@@ -239,13 +228,13 @@ def rk4_solve_many(
                 f" at step size h = {h:.6g}; reduce the step size or the couplings"
             )
         trace = PopulationTrace(times=t_grid, populations=pops_rows[:, ::-1, j].copy())
-        results.append((trace, StateVector(to_level_order(finals[:, j]), norm_tol=_RK4_NORM_TOL)))
+        results.append((trace, finals[j]))
     return results
 
 
 def rk4_solve(
     model: ModelConfig, drive: DriveParams, c0: StateVector, t_grid
-) -> tuple[PopulationTrace, StateVector]:
+) -> tuple[PopulationTrace, np.ndarray]:
     """The one-state case of ``rk4_solve_many``, with the same checks and errors."""
     (result,) = rk4_solve_many(model, drive, [c0], t_grid)
     return result
@@ -345,16 +334,15 @@ class FrameSolution:
     frame: RotatingFrame
     eigensystem: EigenSystem
 
-    def _planes(self, t_grid) -> tuple[np.ndarray, np.ndarray]:
-        """The phase planes of ``t_grid`` and T.T with its rows in level order.
+    def _planes(self, t_grid, t_abs: float) -> tuple[np.ndarray, np.ndarray]:
+        """The phase planes of a checked grid of max|t| ``t_abs``, and T.T
+        with its rows in level order.
 
-        Both kernels start here. The grid is checked by ``_check_grid``. The
-        phases carry an absolute rounding error of about u max|L| max|t|
-        (u = 2^-53, from the rounded product L t and from L's own backward
-        error); above 1e-6 they have lost their accuracy and NumericsError
-        names both factors.
+        Both kernels start here. The phases carry an absolute rounding
+        error of about u max|L| max|t| (u = 2^-53, from the rounded product
+        L t and from L's own backward error); above 1e-6 they have lost
+        their accuracy and NumericsError names both factors.
         """
-        t_grid, t_abs = _check_grid(t_grid)
         lam = self.eigensystem.eigenvalues
         lam_abs = max(-float(lam[0]), float(lam[-1]))
         budget = _UNIT_ROUNDOFF * lam_abs * t_abs
@@ -375,7 +363,7 @@ class FrameSolution:
         real part a cos + b sin and the imaginary part b cos - a sin: one
         batched real (k, 8, 8) @ (8, n) product of the planes.
         """
-        planes, back = self._planes(t_grid)
+        planes, back = self._planes(*check_times(t_grid))
         states = list(states)
         t_mat = self.eigensystem.diagonalizer
         mix = np.empty((len(states), 2, 4, 2, 4))  # [[back a, back b], [back b, -back a]]
@@ -386,7 +374,7 @@ class FrameSolution:
         np.negative(mix[:, 0, :, 0], out=mix[:, 1, :, 1])
         return mix.reshape(-1, 8, 8) @ planes
 
-    def _pair_table(self, t_grid, out: np.ndarray, levels) -> np.ndarray:
+    def _pair_table(self, t_grid, t_abs: float, out: np.ndarray, levels) -> np.ndarray:
         """Populations of ten level pairs, one row per pair and one column
         per grid time, written into ``out[0]`` and returned.
 
@@ -399,7 +387,7 @@ class FrameSolution:
         them into ``out``, a (2, 10, n) block, where they are squared and
         summed in place.
         """
-        planes, back = self._planes(t_grid)
+        planes, back = self._planes(t_grid, t_abs)
         pairs = back[levels[0]] * back[levels[1]]
         np.matmul(pairs, planes.reshape(2, 4, -1), out=out)
         out *= out
@@ -416,16 +404,16 @@ class FrameSolution:
         comparisons are the ten of the pairs i <= j, and the maximum is
         theirs bit for bit. Both pair tables, the other side's rows in the
         relabelled order, and their difference share one (3, 10, n)
-        workspace. Same checks and errors as ``populations`` on each side.
+        workspace. Same checks and errors as ``populations``.
         """
         if sorted(levels) != [1, 2, 3, 4]:
             raise ConfigurationError(f"level relabelling {levels} is not a permutation of 1..4")
         order = np.asarray(levels, dtype=np.intp) - 1
-        t_grid = np.asarray(t_grid, dtype=float)
+        t_grid, t_abs = check_times(t_grid)
         work = np.empty((3, 10, t_grid.size))
-        mine = self._pair_table(t_grid, work[:2], _PAIR_LEVELS)
+        mine = self._pair_table(t_grid, t_abs, work[:2], _PAIR_LEVELS)
         relabelled = (order[_PAIR_LEVELS[0]], order[_PAIR_LEVELS[1]])
-        theirs = other._pair_table(t_grid, work[1:], relabelled)
+        theirs = other._pair_table(t_grid, t_abs, work[1:], relabelled)
         np.subtract(mine, theirs, out=mine)
         np.abs(mine, out=mine)
         return float(mine.max())
@@ -433,8 +421,8 @@ class FrameSolution:
     def populations(self, states: Iterable[StateVector], t_grid) -> list[np.ndarray]:
         """Level-ordered populations of each state, one row per grid time.
 
-        re^2 + im^2 of the frame amplitudes. A non-finite grid is a
-        ConfigurationError, phases past their accuracy a NumericsError.
+        re^2 + im^2 of the frame amplitudes. A grid ``check_times`` refuses
+        is a ConfigurationError, phases past their accuracy a NumericsError.
         """
         parts = self._parts(states, t_grid)
         parts *= parts

@@ -22,13 +22,13 @@ transition at resonance (w_ab = E_a - E_b) zeroes the whole diagonal.
 
 A 4x4 frame is too small for array operations to pay: K, the energies and
 both kinds of detuning are Python floats, and each array is built once.
+``check_time_independence`` takes its times through ``models.check_times``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .models import (
     DriveParams,
     ModelConfig,
     Transition,
+    check_times,
     hamiltonian_t,
     row_of,
     to_row_order,
@@ -127,23 +128,17 @@ def transform_at(model: ModelConfig, drive: DriveParams, t, k_levels: np.ndarray
 
 
 def check_time_independence(
-    model: ModelConfig,
-    drive: DriveParams,
-    sample_times: Iterable[float],
-    k_levels: np.ndarray | None = None,
+    model: ModelConfig, drive: DriveParams, sample_times, k_levels: np.ndarray | None = None
 ) -> float:
     """Max elementwise drift of the transformed matrix across sample times.
 
     With the solved generator the drift is rounding noise; passing a wrong
     ``k_levels`` leaves oscillating phases and a visible residual. All
-    sample times, at least two and all finite, go into one array call.
+    sample times, at least two, go into one array call.
     """
-    times = np.array(list(sample_times), dtype=float)
+    times, _ = check_times(sample_times)
     if len(times) < 2:
         raise ConfigurationError("need at least two sample times")
-    bad = times[~np.isfinite(times)]
-    if bad.size:
-        raise ConfigurationError(f"sample time {bad[0]} is not finite")
     if k_levels is None:
         k_levels = frame_generator(model, drive)
     matrices = transform_at(model, drive, times, k_levels)

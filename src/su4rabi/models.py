@@ -15,13 +15,16 @@ parameters (w1, w2, w3) with zero sum. A transition (a, b) is driven by a
 classical field of frequency w_ab and a real non-negative coupling
 kappa_ab; within the rotating wave approximation the matrix element is
 kappa_ab * exp(-i w_ab t).
+
+Each input rule has one owner: ``row_of`` for a level (an integer 1..4) and
+``check_times`` for every set of times (a non-empty 1-d finite real array).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,10 +38,30 @@ Transition = tuple[int, int]
 
 
 def row_of(level: int) -> int:
-    """Zero-indexed matrix row of a level (top level first)."""
+    """Zero-indexed matrix row of a level (top level first), or a ConfigurationError."""
+    if not isinstance(level, (int, np.integer)):  # 2.0 passes the test below
+        raise ConfigurationError(f"level {level!r} is not an integer 1..4")
     if level not in LEVELS:
         raise ConfigurationError(f"level {level} outside 1..4")
     return 4 - level
+
+
+def check_times(times) -> tuple[np.ndarray, float]:
+    """The times as a float array and their max|t|, or a ConfigurationError
+    that names the first non-finite time."""
+    try:
+        times = np.asarray(times)
+        if times.dtype.kind not in "biufO":  # strings would parse, complex lose its imaginary part
+            raise TypeError(f"dtype {times.dtype}")
+        times = times.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"time grid must hold real numbers ({exc})") from None
+    if times.ndim != 1 or times.size < 1:
+        raise ConfigurationError("time grid must be a non-empty 1-d array")
+    t_abs = float(np.abs(times).max())  # nan if any time is nan
+    if not math.isfinite(t_abs):
+        raise ConfigurationError(f"sample time {times[~np.isfinite(times)][0]} is not finite")
+    return times, t_abs
 
 
 def to_row_order(level_vec: np.ndarray) -> np.ndarray:
@@ -303,29 +326,22 @@ def hamiltonian_shift_form(
 
 @dataclass(frozen=True)
 class StateVector:
-    """Unit-norm amplitudes (C1, C2, C3, C4) in level order."""
+    """Amplitudes (C1, C2, C3, C4) in level order, of norm 1 within 1e-12."""
 
     amplitudes: np.ndarray
-    norm_tol: float = field(default=1e-12, compare=False)
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(4).copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         deviation = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
-        if not deviation <= self.norm_tol:  # NaN amplitudes fail too
-            raise ConfigurationError(
-                f"state norm deviates from 1 by {deviation:.2e} (tol {self.norm_tol:.0e})"
-            )
+        if not deviation <= 1e-12:  # NaN amplitudes fail too
+            raise ConfigurationError(f"state norm deviates from 1 by {deviation:.2e} (tol 1e-12)")
 
     @classmethod
     def basis(cls, level: int) -> "StateVector":
-        if not isinstance(level, (int, np.integer)):  # 2.0 passes the test below
-            raise ConfigurationError(f"level {level!r} is not an integer 1..4")
-        if level not in LEVELS:
-            raise ConfigurationError(f"level {level} outside 1..4")
         amps = np.zeros(4, dtype=complex)
-        amps[level - 1] = 1.0
+        to_row_order(amps)[row_of(level)] = 1.0
         return cls(amps)
 
     def populations(self) -> np.ndarray:
@@ -340,7 +356,7 @@ class PopulationTrace:
     populations: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float).reshape(-1)
+        times = check_times(self.times)[0].view()  # the caller's array stays writable
         pops = np.asarray(self.populations, dtype=float)
         if pops.shape != (times.size, 4):
             raise ConfigurationError(
@@ -370,6 +386,7 @@ __all__ = [
     "TRANSITION_OF_LADDER",
     "Transition",
     "catalog",
+    "check_times",
     "get_model",
     "hamiltonian_shift_form",
     "hamiltonian_t",

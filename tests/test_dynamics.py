@@ -29,9 +29,10 @@ from su4rabi.dynamics import (
     trace_via_spectral,
 )
 from su4rabi.errors import ConfigurationError, NumericsError
-from su4rabi.frame import frame_generator, resonant_drive
+from su4rabi.frame import check_time_independence, frame_generator, resonant_drive
 from su4rabi.models import (
     DriveParams,
+    PopulationTrace,
     StateVector,
     catalog,
     get_model,
@@ -115,7 +116,7 @@ class TestRk4Solve:
         trace, final = rk4_solve(MODEL_I, CHAIN_DRIVE, c0, np.array([0.0]))
         assert trace.populations.shape == (1, 4)
         assert trace.populations[0] == pytest.approx([0.0, 1.0, 0.0, 0.0], abs=0)
-        assert np.array_equal(final.amplitudes, c0.amplitudes)
+        assert np.array_equal(final, c0.amplitudes)
 
     def test_uncoupled_state_is_stationary(self):
         drive = zero_coupling_drive(MODEL_I)
@@ -124,7 +125,7 @@ class TestRk4Solve:
         )
         expected = np.tile([0.0, 0.0, 1.0, 0.0], (5001, 1))
         assert np.abs(trace.populations - expected).max() < 1e-12
-        assert final.populations() == pytest.approx([0.0, 0.0, 1.0, 0.0], abs=1e-12)
+        assert np.abs(final) ** 2 == pytest.approx([0.0, 0.0, 1.0, 0.0], abs=1e-12)
 
     def test_uncoupled_drift_is_the_predicted_amplification(self):
         # with H = diag(E) constant, one RK4 step multiplies basis state j by
@@ -266,7 +267,7 @@ class TestRk4Solve:
         trace, final = rk4_solve(
             MODEL_I, CHAIN_DRIVE, StateVector.basis(1), uniform_grid(3.0, 3001)
         )
-        assert np.abs(trace.populations[-1] - final.populations()).max() < 1e-15
+        assert np.abs(trace.populations[-1] - np.abs(final) ** 2).max() < 1e-15
 
 
 OVERFLOW = r"^time grid spacing overflows to inf \(max\|t\| = 1\.500e\+308\); a step between two grid times must be a finite float$"
@@ -446,7 +447,7 @@ class TestTwoLevelMarch:
 
         trace, final = rk4_solve(model, drive, c0, grid)
         assert np.abs(trace.populations - np.abs(states[:, ::-1]) ** 2).max() < 1e-13
-        assert np.abs(final.amplitudes - to_level_order(states[-1])).max() < 1e-13
+        assert np.abs(final - to_level_order(states[-1])).max() < 1e-13
 
 
 def off_resonant_drive(model, detunings=(0.3, -0.15, 0.1), couplings=(0.7, 0.24, 0.5)):
@@ -490,7 +491,7 @@ class TestBlockMarch:
             single_trace, single_final = rk4_solve(model, drive, c0, grid)
             assert np.array_equal(trace.times, single_trace.times)
             assert np.abs(trace.populations - single_trace.populations).max() < 1e-13
-            assert np.abs(final.amplitudes - single_final.amplitudes).max() < 1e-13
+            assert np.abs(final - single_final).max() < 1e-13
 
     def test_empty_state_list_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError, match="at least one initial state"):
@@ -506,6 +507,39 @@ class TestBlockMarch:
             assert trace.max_norm_error() == 0.0
         with pytest.raises(NumericsError, match=r"norm of initial state 1 drifted .* h = 0\.5;"):
             rk4_solve_many(MODEL_I, drive, [StateVector.basis(1), StateVector.basis(2)], grid)
+
+
+class TestUnitarityDefect:
+    """RK4 at a coarse step: the march's map U_N is not unitary.
+
+    U_N's columns are the final states of the four basis starts, and its
+    defect max|sigma_i^2 - 1| bounds the norm drift of every unit start:
+    |U_N c|^2 = c^H U_N^H U_N c lies between the smallest and the largest
+    sigma_i^2. The right singular vector of the extreme sigma_i attains it.
+    """
+
+    @pytest.mark.parametrize("detunings", [RESONANT, (0.3, -0.15, 0.1)])
+    @pytest.mark.parametrize("model_id", ["I", "II", "III", "IV", "V", "VI"])
+    def test_defect_bounds_every_drift_and_is_attained(self, model_id, detunings):
+        # h = 1e-2 leaves defects of 2.2e-9 (III) to 1.9e-7 (V); marching the
+        # singular vector reproduces its sigma^2 - 1 to within 0.035 N u
+        # (N = 1000 steps, u = 2^-53), and N u is the rounding allowance
+        model = get_model(model_id)
+        drive = off_resonant_drive(model, detunings)
+        grid = uniform_grid(10.0, 1001)
+        allowance = (grid.size - 1) * _UNIT_ROUNDOFF
+        finals = [final for _, final in rk4_solve_many(model, drive, BASIS_STATES, grid)]
+        _, sigma, right = np.linalg.svd(np.column_stack(finals))
+        deviations = sigma**2 - 1.0
+        extreme = int(np.argmax(np.abs(deviations)))
+        defect = abs(float(deviations[extreme]))
+        assert 1e-9 < defect < 1e-6
+        for final in finals:
+            assert abs(float(np.vdot(final, final).real) - 1.0) <= defect + allowance
+        start = StateVector(right[extreme].conj())
+        ((_, final),) = rk4_solve_many(model, drive, [start], grid)
+        drift = abs(float(np.vdot(final, final).real) - 1.0)
+        assert abs(drift - defect) <= allowance
 
 
 class TestGeneratorTable:
@@ -821,7 +855,7 @@ class TestBasisPopulations:
         pairs = np.triu_indices(4)
         row = np.empty((4, 4), dtype=np.intp)
         row[pairs] = row[pairs[::-1]] = np.arange(10)
-        table_rows = solution._pair_table(grid, np.empty((2, 10, grid.size)), pairs)
+        table_rows = solution._pair_table(grid, max_abs(grid), np.empty((2, 10, grid.size)), pairs)
         for start, pops in enumerate(solution.populations(BASIS_STATES, grid)):
             assert pops.shape == (grid.size, 4)
             assert np.array_equal(table_rows[row[start]].T, pops)
@@ -910,6 +944,39 @@ def test_both_routes_refuse_non_finite_grid(route, grid):
     # configuration error before any step or phase is computed
     with pytest.raises(ConfigurationError, match="finite"):
         route(MODEL_I, CHAIN_DRIVE, StateVector.basis(1), np.array(grid))
+
+
+CHAIN_SOLUTION = solve_frame(MODEL_I, CHAIN_DRIVE)
+# every public entry point that takes a set of times, called on ``times``
+TIME_ENTRY_POINTS = {
+    "rk4_solve": lambda times: rk4_solve(MODEL_I, CHAIN_DRIVE, BASIS_STATES[0], times),
+    "trace_via_spectral": lambda times: trace_via_spectral(
+        MODEL_I, CHAIN_DRIVE, BASIS_STATES[0], times),
+    "FrameSolution.populations": lambda times: CHAIN_SOLUTION.populations(BASIS_STATES, times),
+    "max_population_gap": lambda times: CHAIN_SOLUTION.max_population_gap(
+        CHAIN_SOLUTION, (1, 2, 3, 4), times),
+    "check_time_independence": lambda times: check_time_independence(
+        MODEL_I, CHAIN_DRIVE, times),
+    "PopulationTrace": lambda times: PopulationTrace(times=times, populations=np.zeros((2, 4))),
+}
+
+
+@pytest.mark.parametrize("times,message", [
+    (["a", "b"], "time grid must hold real numbers (dtype <U1)"),
+    ([None, 1.0], "sample time nan is not finite"),
+    (np.array([[0.0, 1.0], [2.0, 3.0]]), "time grid must be a non-empty 1-d array"),
+    ([], "time grid must be a non-empty 1-d array"),
+    ([0.0, np.nan, 1.0], "sample time nan is not finite"),
+    ([0.0, 1.0, np.inf], "sample time inf is not finite"),
+    ([-np.inf, 0.0, np.nan], "sample time -inf is not finite"),
+])
+def test_every_entry_point_refuses_times_alike(times, message):
+    # models.check_times owns the rule for every set of times: each entry
+    # point refuses a bad one with its ConfigurationError and its message
+    for name, call in TIME_ENTRY_POINTS.items():
+        with pytest.raises(ConfigurationError) as exc:
+            call(times)
+        assert str(exc.value) == message, name
 
 
 class TestPhases:
@@ -1075,4 +1142,4 @@ class TestScalarReference:
         grid = np.arange(n_steps + 1) * h
         trace, final = rk4_solve(MODEL_I, CHAIN_DRIVE, StateVector.basis(1), grid)
         assert np.abs(trace.populations - pops_ref).max() < 2e-12
-        assert np.abs(final.amplitudes - c).max() < 1e-12
+        assert np.abs(final - c).max() < 1e-12

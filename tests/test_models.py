@@ -241,19 +241,23 @@ class TestStateVector:
 
     @pytest.mark.parametrize("level", [0, 5, -1])
     def test_basis_rejects_level_outside_1_to_4(self, level):
-        with pytest.raises(ConfigurationError, match="outside 1..4"):
-            StateVector.basis(level)
+        for owner in (StateVector.basis, row_of):
+            with pytest.raises(ConfigurationError, match="outside 1..4"):
+                owner(level)
 
     @pytest.mark.parametrize("level", [2.0, np.float64(3.0), 1.5, "1"])
     def test_basis_rejects_non_integer_level(self, level):
-        # 2.0 == 2 passes the level test, but a float is no index
-        with pytest.raises(ConfigurationError, match="is not an integer 1..4"):
-            StateVector.basis(level)
+        # 2.0 == 2 passes the level test, but a float is no index; row_of
+        # owns the rule, and StateVector.basis refuses through it
+        for owner in (StateVector.basis, row_of):
+            with pytest.raises(ConfigurationError, match="is not an integer 1..4"):
+                owner(level)
 
     @pytest.mark.parametrize("level", [np.int64(2), np.int32(4), np.uint8(1)])
     def test_basis_takes_numpy_integer_levels(self, level):
         expected = StateVector.basis(int(level)).amplitudes
         assert np.array_equal(StateVector.basis(level).amplitudes, expected)
+        assert row_of(level) == row_of(int(level))
 
     def test_rejects_nan_amplitudes(self):
         with pytest.raises(ConfigurationError):
