@@ -206,8 +206,6 @@ class RunConfig:
 
 def initial_state(init: int | tuple[tuple[float, float], ...]) -> StateVector:
     if isinstance(init, int):
-        if init not in (1, 2, 3, 4):
-            raise ConfigurationError(f"init level {init} outside 1..4")
         return StateVector.basis(init)
     amps = np.array([complex(re, im) for re, im in init])
     norm = float(np.sqrt(np.sum(np.abs(amps) ** 2)))

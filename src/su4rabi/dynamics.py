@@ -8,14 +8,15 @@ frame invariant (the frame transformation is a diagonal unitary), so the two
 must agree wherever both apply, which is the backbone cross-check of the
 whole package.
 
-Both routes take their times through ``models.check_times``. The spectral
-route has two evaluation kernels behind one set of checks.
-``solve_frame`` builds the rotating frame of one (model, drive) pair and
-diagonalizes it once; the resulting ``FrameSolution`` checks a grid and
-computes one pair of phase planes, cos(L t) and sin(L t), for every
-state it evaluates there. ``populations`` and ``amplitudes`` take any
-initial states, basis levels included: with w = T c(0) formed state by
-state, the parts [Re c; Im c] of all k states are one batched real
+Both routes check their times once per call through
+``models.check_times``. ``solve_frame`` builds the rotating frame of one
+(model, drive) pair and diagonalizes it once; each method of the
+resulting ``FrameSolution`` checks its grid once (``_checked_grid``,
+which also picks how the phase planes are formed) and hands it to one of
+two kernels, which compute one pair of planes, cos(L t) and sin(L t),
+for every state they evaluate. ``populations`` and ``amplitudes`` take
+any initial states, basis levels included: with w = T c(0) formed state
+by state, the parts [Re c; Im c] of all k states are one batched real
 (k, 8, 8) @ (8, n) product of the planes, and the populations are
 re^2 + im^2; one state peaks at 128 B per grid point, k states at
 max(64 (k + 1), 96 k) B. The frame matrix is real symmetric, so the
@@ -27,13 +28,14 @@ under a relabelling of the levels: it writes their cos and sin parts,
 products of two rows of T.T against the planes, into a (2, 10, n) block
 with one batched (10, 4) @ (2, 4, n) product and squares and sums them
 in place, both tables inside one workspace allocated once per call.
-``trace_via_spectral`` is the one-state shorthand. Short or non-uniform
-grids take one cos and one sin per value; long uniform ones take an
-angle-addition table (``_table_planes``). The table adds at most
-9u max|L| max|t| (u = 2^-53) to the phases, measured 2.8u on the figure
-grids and 5.3u on grids crossing zero: below the eigenvalues' own
-backward error (7.9u max|L| for the Jacobi solver), which the phase
-budget u max|L| max|t| <= 1e-6 covers.
+``trace_via_spectral`` is the one-state shorthand, and its trace takes
+the checked grid. Short or non-uniform grids take one cos and one sin
+per value; long uniform ones take an angle-addition table
+(``_table_planes``). The table adds at most 9u max|L| max|t| (u = 2^-53)
+to the phases, measured 2.8u on the figure grids and 5.3u on grids
+crossing zero: below the eigenvalues' own backward error (7.9u max|L|
+for the Jacobi solver), which the phase budget u max|L| max|t| <= 1e-6
+covers.
 
 The RK4 route runs in real arithmetic: a complex 4-vector x + i y is the
 real 8-vector [x; y], on which -i H acts as [[Im H, Re H], [-Re H, Im H]].
@@ -227,7 +229,7 @@ def rk4_solve_many(
                 f"RK4 state norm{which} drifted from 1 by {drift:.2e} (tol {_RK4_NORM_TOL:.0e})"
                 f" at step size h = {h:.6g}; reduce the step size or the couplings"
             )
-        trace = PopulationTrace(times=t_grid, populations=pops_rows[:, ::-1, j].copy())
+        trace = PopulationTrace._of_checked(t_grid, pops_rows[:, ::-1, j].copy())
         results.append((trace, finals[j]))
     return results
 
@@ -261,33 +263,34 @@ def _pointwise_planes(t_grid: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray
     return planes.reshape(-1, t_grid.size)
 
 
-def _table_planes(
-    t_grid: np.ndarray, eigenvalues: np.ndarray, t_abs: float
-) -> np.ndarray | None:
-    """The planes of ``_pointwise_planes`` by angle addition, or None when the
-    grid is not uniform; ``t_abs`` is the grid's max|t|.
-
-    The grid counts as uniform when every time lies within 4u max|t| of
-    the time ``numpy.linspace(t[0], t[-1], n)`` forms, t[0] + k step with
-    step = (t[-1] - t[0]) / (n - 1) and the last time t[-1]; a linspace grid
-    meets it exactly, whether or not it crosses zero. With b = isqrt(n),
-    time j b + i is then the anchor t[j b] plus the offset t[i] - t[0]; cos
-    and sin are taken only at the sqrt(n) anchors and the sqrt(n) offsets,
-    and one batched product [cos A, sin A] @ [[cos D, sin D], [-sin D, cos D]]
-    gives cos(A + D) and sin(A + D) at every time.
-    """
-    n = t_grid.size
-    t0 = t_grid[0]
+def _checked_grid(t_grid) -> tuple[np.ndarray, float, bool]:
+    """The array and max|t| of ``check_times``, and whether the phase table
+    serves the grid: at least ``_TABLE_MIN_POINTS`` times, each within
+    4u max|t| of the time ``numpy.linspace(t[0], t[-1], n)`` forms, t[0] +
+    k step with step = (t[-1] - t[0]) / (n - 1) and the last time t[-1]. A
+    linspace grid passes exactly, whether or not it crosses zero."""
+    times, t_abs = check_times(t_grid)
+    n, t0 = times.size, times[0]
+    if n < _TABLE_MIN_POINTS:
+        return times, t_abs, False
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
         # numpy.linspace's own formation, the last time set to t[-1]
-        predicted = np.arange(n) * ((t_grid[-1] - t0) / (n - 1)) + t0
-        predicted[-1] = t_grid[-1]
-        drift = np.abs(predicted - t_grid).max()
-    if not drift <= 4.0 * _UNIT_ROUNDOFF * t_abs:
-        return None
+        predicted = np.arange(n) * ((times[-1] - t0) / (n - 1)) + t0
+        predicted[-1] = times[-1]
+        drift = np.abs(predicted - times).max()
+    return times, t_abs, bool(drift <= 4.0 * _UNIT_ROUNDOFF * t_abs)
+
+
+def _table_planes(t_grid: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """The planes of ``_pointwise_planes`` by angle addition, on a uniform
+    grid. With b = isqrt(n), time j b + i is the anchor t[j b] plus the
+    offset t[i] - t[0]; cos and sin are taken only at the sqrt(n) anchors
+    and offsets, and one batched product [cos A, sin A] @
+    [[cos D, sin D], [-sin D, cos D]] gives cos(A + D), sin(A + D) at every time."""
+    n = t_grid.size
     b = math.isqrt(n)
     anchors = t_grid[::b]
-    offsets = t_grid[:b] - t0
+    offsets = t_grid[:b] - t_grid[0]
     m, g = eigenvalues.size, anchors.size
     angles = np.multiply.outer(eigenvalues, anchors)
     left = np.empty((m, g, 2))
@@ -304,20 +307,16 @@ def _table_planes(
     return planes[:, :n]
 
 
-def _phase_planes(t_grid: np.ndarray, eigenvalues: np.ndarray, t_abs: float) -> np.ndarray:
-    """cos(L t) in rows 0-3 and sin(L t) in rows 4-7, shape (8, n), for a
-    grid of max|t| ``t_abs``.
-
-    A uniform grid of at least ``_TABLE_MIN_POINTS`` times takes the angle
-    addition table; every other grid takes one cos and one sin per value.
-    """
-    if t_grid.size >= _TABLE_MIN_POINTS:
-        planes = _table_planes(t_grid, eigenvalues, t_abs)
-        if planes is not None:
-            return planes
-    return _pointwise_planes(t_grid, eigenvalues)
+def _phase_planes(grid: tuple[np.ndarray, float, bool], eigenvalues: np.ndarray) -> np.ndarray:
+    """cos(L t) in rows 0-3 and sin(L t) in rows 4-7, shape (8, n), on a
+    grid from ``_checked_grid``: by the angle addition table where it
+    serves the grid, by one cos and one sin per value elsewhere."""
+    t_grid, _, table = grid
+    return (_table_planes if table else _pointwise_planes)(t_grid, eigenvalues)
 
 
+# [x, y] -> [y, -x], exactly: the lower half of ``_parts``' mix from its upper half
+_SWAP_SIGNS = np.array([[1.0], [-1.0]])
 # The ten level pairs i <= j (0-based) of ``FrameSolution.max_population_gap``.
 _PAIR_LEVELS = np.triu_indices(4)
 
@@ -334,9 +333,9 @@ class FrameSolution:
     frame: RotatingFrame
     eigensystem: EigenSystem
 
-    def _planes(self, t_grid, t_abs: float) -> tuple[np.ndarray, np.ndarray]:
-        """The phase planes of a checked grid of max|t| ``t_abs``, and T.T
-        with its rows in level order.
+    def _planes(self, grid) -> tuple[np.ndarray, np.ndarray]:
+        """The phase planes on a grid from ``_checked_grid``, and T.T with
+        its rows in level order.
 
         Both kernels start here. The phases carry an absolute rounding
         error of about u max|L| max|t| (u = 2^-53, from the rounded product
@@ -345,36 +344,34 @@ class FrameSolution:
         """
         lam = self.eigensystem.eigenvalues
         lam_abs = max(-float(lam[0]), float(lam[-1]))
-        budget = _UNIT_ROUNDOFF * lam_abs * t_abs
+        budget = _UNIT_ROUNDOFF * lam_abs * grid[1]
         if not budget <= _PHASE_TOL:
             raise NumericsError(
                 f"spectral phases lose accuracy: 2^-53 max|eigenvalue| max|t| ="
                 f" {budget:.3e} > {_PHASE_TOL:.0e}, from max|eigenvalue| = {lam_abs:.3e}"
-                f" times max|t| = {t_abs:.3e}; shorten the grid or weaken the couplings"
+                f" times max|t| = {grid[1]:.3e}; shorten the grid or weaken the couplings"
             )
-        return _phase_planes(t_grid, lam, t_abs), self.eigensystem.diagonalizer.T[::-1]
+        return _phase_planes(grid, lam), self.eigensystem.diagonalizer.T[::-1]
 
-    def _parts(self, states: Iterable[StateVector], t_grid) -> np.ndarray:
+    def _parts(self, states: Iterable[StateVector], grid) -> np.ndarray:
         """[Re c; Im c], the (k, 8, n) parts of the level-ordered frame
-        amplitudes c of the k states, which may come as any iterable.
+        amplitudes c of k states, from any iterable, on a grid from ``_checked_grid``.
 
-        The grid is checked and the phase planes are computed once. With
-        w = T c(0) = a + i b, one product per state, exp(-i L t) w has the
-        real part a cos + b sin and the imaginary part b cos - a sin: one
-        batched real (k, 8, 8) @ (8, n) product of the planes.
+        With w = T c(0) = a + i b, one product per state, exp(-i L t) w has
+        the real part a cos + b sin and the imaginary part b cos - a sin: one
+        batched real (k, 8, 8) @ (8, n) product of the planes with T.T times
+        [[a, b], [b, -a]], whose lower half is the upper one's exact swap.
         """
-        planes, back = self._planes(*check_times(t_grid))
-        states = list(states)
+        planes, back = self._planes(grid)
         t_mat = self.eigensystem.diagonalizer
-        mix = np.empty((len(states), 2, 4, 2, 4))  # [[back a, back b], [back b, -back a]]
-        for c0, top in zip(states, mix[:, 0]):
-            w = t_mat @ to_row_order(c0.amplitudes)
-            np.multiply(back[:, None], w.view(float).reshape(4, 2).T, out=top)
-        mix[:, 1, :, 0] = mix[:, 0, :, 1]
-        np.negative(mix[:, 0, :, 0], out=mix[:, 1, :, 1])
+        w = np.array([t_mat @ to_row_order(c0.amplitudes) for c0 in states])
+        ab = w.view(float).reshape(-1, 1, 4, 2).transpose(0, 1, 3, 2)  # [a, b] per state
+        mix = np.empty((len(w), 2, 4, 2, 4))  # [[back a, back b], [back b, -back a]]
+        np.multiply(back[:, None], ab, out=mix[:, 0])
+        np.multiply(mix[:, 0, :, ::-1], _SWAP_SIGNS, out=mix[:, 1])
         return mix.reshape(-1, 8, 8) @ planes
 
-    def _pair_table(self, t_grid, t_abs: float, out: np.ndarray, levels) -> np.ndarray:
+    def _pair_table(self, grid, out: np.ndarray, levels) -> np.ndarray:
         """Populations of ten level pairs, one row per pair and one column
         per grid time, written into ``out[0]`` and returned.
 
@@ -387,7 +384,7 @@ class FrameSolution:
         them into ``out``, a (2, 10, n) block, where they are squared and
         summed in place.
         """
-        planes, back = self._planes(t_grid, t_abs)
+        planes, back = self._planes(grid)
         pairs = back[levels[0]] * back[levels[1]]
         np.matmul(pairs, planes.reshape(2, 4, -1), out=out)
         out *= out
@@ -409,11 +406,11 @@ class FrameSolution:
         if sorted(levels) != [1, 2, 3, 4]:
             raise ConfigurationError(f"level relabelling {levels} is not a permutation of 1..4")
         order = np.asarray(levels, dtype=np.intp) - 1
-        t_grid, t_abs = check_times(t_grid)
-        work = np.empty((3, 10, t_grid.size))
-        mine = self._pair_table(t_grid, t_abs, work[:2], _PAIR_LEVELS)
+        grid = _checked_grid(t_grid)
+        work = np.empty((3, 10, grid[0].size))
+        mine = self._pair_table(grid, work[:2], _PAIR_LEVELS)
         relabelled = (order[_PAIR_LEVELS[0]], order[_PAIR_LEVELS[1]])
-        theirs = other._pair_table(t_grid, t_abs, work[1:], relabelled)
+        theirs = other._pair_table(grid, work[1:], relabelled)
         np.subtract(mine, theirs, out=mine)
         np.abs(mine, out=mine)
         return float(mine.max())
@@ -424,16 +421,20 @@ class FrameSolution:
         re^2 + im^2 of the frame amplitudes. A grid ``check_times`` refuses
         is a ConfigurationError, phases past their accuracy a NumericsError.
         """
-        parts = self._parts(states, t_grid)
+        return list(self._populations(states, _checked_grid(t_grid)))
+
+    def _populations(self, states: Iterable[StateVector], grid) -> np.ndarray:
+        """The (k, n, 4) populations of ``populations`` on a grid from ``_checked_grid``."""
+        parts = self._parts(states, grid)
         parts *= parts
-        return list(np.add(parts[:, :4], parts[:, 4:]).transpose(0, 2, 1))
+        return np.add(parts[:, :4], parts[:, 4:]).transpose(0, 2, 1)
 
     def amplitudes(self, states: Iterable[StateVector], t_grid) -> list[np.ndarray]:
         """Level-ordered frame amplitudes of each state, one row per grid time.
 
         re + i im from the same kernel as ``populations``.
         """
-        parts = self._parts(states, t_grid)
+        parts = self._parts(states, _checked_grid(t_grid))
         return list((parts[:, :4] + 1j * parts[:, 4:]).transpose(0, 2, 1))
 
 
@@ -453,7 +454,7 @@ def solve_frame(
             f" {RESONANCE_TOL:.0e} times the largest level gap or field frequency,"
             f" {fr.scale:.2e}; pass allow_nonresonant=True to proceed"
         )
-    return FrameSolution(frame=fr, eigensystem=jacobi_eigh(fr.h_tilde))
+    return FrameSolution(fr, jacobi_eigh(fr.h_tilde))
 
 
 def trace_via_spectral(
@@ -469,5 +470,6 @@ def trace_via_spectral(
     a caller with several initial states should solve once and evaluate them
     together.
     """
-    (pops,) = solve_frame(model, drive, allow_nonresonant).populations([c0], t_grid)
-    return PopulationTrace(times=t_grid, populations=pops)
+    solution = solve_frame(model, drive, allow_nonresonant)
+    grid = _checked_grid(t_grid)
+    return PopulationTrace._of_checked(grid[0], solution._populations([c0], grid)[0])

@@ -20,8 +20,11 @@ per-level detunings E_i + K_i, whose pairwise differences along allowed
 transitions are the field detunings D_ab = (E_a - E_b) - w_ab. Driving every
 transition at resonance (w_ab = E_a - E_b) zeroes the whole diagonal.
 
-A 4x4 frame is too small for array operations to pay: K, the energies and
-both kinds of detuning are Python floats, and each array is built once.
+Each model holds its path walk and its transitions' matrix positions once
+(``ModelConfig.path_walk``, ``transition_slots``). A call computes its
+drive's part on Python floats, as a 4x4 frame is too small for array
+operations to pay: K, the energies and both kinds of detuning, then each
+of the frame's three arrays once.
 ``check_time_independence`` takes its times through ``models.check_times``.
 """
 
@@ -39,7 +42,6 @@ from .models import (
     Transition,
     check_times,
     hamiltonian_t,
-    row_of,
     to_row_order,
 )
 
@@ -74,19 +76,13 @@ class RotatingFrame:
 
 
 def frame_generator(model: ModelConfig, drive: DriveParams) -> np.ndarray:
-    """The level-ordered frame generator (K1, K2, K3, K4), by a path walk."""
+    """The level-ordered frame generator (K1, K2, K3, K4), by the model's path walk."""
     drive.validate_for(model)
     freq = drive.field_freq
-    path = model.path
-    start = path.index(1)
-    k = [0.0] * 5  # by level; k[0] unused
-    for side in (path[start::-1], path[start:]):
-        for known, new in zip(side, side[1:]):
-            if known > new:
-                k[new] = k[known] + freq[(known, new)]
-            else:
-                k[new] = k[known] - freq[(new, known)]
-    _, k1, k2, k3, k4 = k
+    k = [0.0] * 4  # by row
+    for known, new, tr, below in model.path_walk:
+        k[new] = k[known] + freq[tr] if below else k[known] - freq[tr]
+    k4, k3, k2, k1 = k
     mean = (k1 + k2 + k3 + k4) / 4.0
     return np.array([k1 - mean, k2 - mean, k3 - mean, k4 - mean])
 
@@ -98,19 +94,17 @@ def rotate(model: ModelConfig, drive: DriveParams) -> RotatingFrame:
     energies = e1, e2, e3, e4 = model.energies(drive.omega)
     diag_det = d1, d2, d3, d4 = [e1 + k1, e2 + k2, e3 + k3, e4 + k4]
 
-    # row order: level 4 first
-    rows = [[d4, 0.0, 0.0, 0.0], [0.0, d3, 0.0, 0.0], [0.0, 0.0, d2, 0.0], [0.0, 0.0, 0.0, d1]]
+    # row order, flat: level 4 first
+    h = [d4, 0.0, 0.0, 0.0, 0.0, d3, 0.0, 0.0, 0.0, 0.0, d2, 0.0, 0.0, 0.0, 0.0, d1]
     detunings = {}
     scale = 0.0
-    for (a, b) in model.sorted_transitions():
-        rows[row_of(a)][row_of(b)] = rows[row_of(b)][row_of(a)] = drive.coupling[(a, b)]
-        gap, freq = energies[a - 1] - energies[b - 1], drive.field_freq[(a, b)]
-        detunings[(a, b)] = float(gap - freq)
+    for tr, upper, lower in model.transition_slots:
+        h[upper] = h[lower] = drive.coupling[tr]
+        gap, freq = energies[tr[0] - 1] - energies[tr[1] - 1], drive.field_freq[tr]
+        detunings[tr] = float(gap - freq)
         scale = max(scale, abs(gap), abs(freq))
-    return RotatingFrame(
-        model=model, K=k_levels, h_tilde=np.array(rows, dtype=float),
-        detunings=detunings, diag_detunings=np.array(diag_det), scale=float(scale),
-    )
+    h_tilde = np.array(h, dtype=float).reshape(4, 4)
+    return RotatingFrame(model, k_levels, h_tilde, detunings, np.array(diag_det), float(scale))
 
 
 def transform_at(model: ModelConfig, drive: DriveParams, t, k_levels: np.ndarray) -> np.ndarray:

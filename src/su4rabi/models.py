@@ -39,7 +39,8 @@ Transition = tuple[int, int]
 
 def row_of(level: int) -> int:
     """Zero-indexed matrix row of a level (top level first), or a ConfigurationError."""
-    if not isinstance(level, (int, np.integer)):  # 2.0 passes the test below
+    # 2.0 and True, an int equal to 1, would pass the test below
+    if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
         raise ConfigurationError(f"level {level!r} is not an integer 1..4")
     if level not in LEVELS:
         raise ConfigurationError(f"level {level} outside 1..4")
@@ -129,16 +130,30 @@ class ModelConfig:
         return frozenset(self._sorted_transitions)
 
     @cached_property
+    def transition_slots(self) -> tuple[tuple[Transition, int, int], ...]:
+        """Each sorted transition (a, b) with its flat positions in a row-ordered
+        4x4 matrix: 4 row_of(a) + row_of(b) above the diagonal, its mirror below."""
+        rows = [(tr, row_of(tr[0]), row_of(tr[1])) for tr in self._sorted_transitions]
+        return tuple((tr, 4 * ra + rb, 4 * rb + ra) for tr, ra, rb in rows)
+
+    @cached_property
+    def path_walk(self) -> tuple[tuple[int, int, Transition, bool], ...]:
+        """The path's steps outward from level 1, both ways: the rows of the level
+        reached and of the next one, their transition, and whether the next is lower."""
+        i = self.path.index(1)
+        steps = [s for side in (self.path[i::-1], self.path[i:]) for s in zip(side, side[1:])]
+        return tuple((row_of(a), row_of(b), (max(a, b), min(a, b)), a > b) for a, b in steps)
+
+    @cached_property
     def generator_blocks(self) -> np.ndarray:
         """The real 8x8 blocks [[Im G, Re G], [-Re G, Im G]] of -i G for G = E,
         X_1..X_3, Y_1..Y_3 (see HamiltonianTable), read-only (7, 64); E = 0."""
-        transitions = self.sorted_transitions()
-        n = len(transitions)
-        g = np.zeros((1 + 2 * n, 4, 4), dtype=complex)
-        for k, (a, b) in enumerate(transitions, start=1):
-            ra, rb = row_of(a), row_of(b)
-            g[k, ra, rb] = g[k, rb, ra] = 1.0
-            g[n + k, ra, rb], g[n + k, rb, ra] = -1j, 1j
+        n = len(self.transition_slots)
+        g = np.zeros((1 + 2 * n, 16), dtype=complex)
+        for k, (_, upper, lower) in enumerate(self.transition_slots, start=1):
+            g[k, upper] = g[k, lower] = 1.0
+            g[n + k, upper], g[n + k, lower] = -1j, 1j
+        g = g.reshape(-1, 4, 4)
         blocks = np.block([[g.imag, g.real], [-g.real, g.imag]]).reshape(len(g), 64)
         blocks.setflags(write=False)
         return blocks
@@ -356,8 +371,18 @@ class PopulationTrace:
     populations: np.ndarray
 
     def __post_init__(self) -> None:
-        times = check_times(self.times)[0].view()  # the caller's array stays writable
-        pops = np.asarray(self.populations, dtype=float)
+        self._seal(check_times(self.times)[0], self.populations)
+
+    @classmethod
+    def _of_checked(cls, times: np.ndarray, populations) -> PopulationTrace:
+        """The trace on times ``check_times`` returned; the other rules still run."""
+        trace = object.__new__(cls)
+        trace._seal(times, populations)
+        return trace
+
+    def _seal(self, times: np.ndarray, populations) -> None:
+        times = times.view()  # the caller's array stays writable
+        pops = np.asarray(populations, dtype=float)
         if pops.shape != (times.size, 4):
             raise ConfigurationError(
                 f"populations shape {pops.shape} does not match {times.size} times"

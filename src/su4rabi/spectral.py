@@ -86,10 +86,9 @@ def jacobi_eigh(h: np.ndarray) -> EigenSystem:
                 f" {float(np.abs(h.imag).max()):.3e}"
             )
         h = h.real
-    h = np.asarray(h, dtype=float)
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
-    entries = h.ravel().tolist()
+    entries = h.astype(float, copy=False).ravel().tolist()
     if not all(map(math.isfinite, entries)):
         raise NumericsError("matrix has non-finite entries")
     largest = max(map(abs, entries))
@@ -208,24 +207,24 @@ def jacobi_eigh(h: np.ndarray) -> EigenSystem:
     else:
         raise NumericsError("Jacobi sweeps did not converge")
 
-    diagonal = (a00, a11, a22, a33)
     rows = ((v00, v01, v02, v03), (v10, v11, v12, v13),
             (v20, v21, v22, v23), (v30, v31, v32, v33))
-    order = sorted(range(4), key=diagonal.__getitem__)
+    ranked = sorted(zip((a00, a11, a22, a33), range(4), rows))  # ties in index order
     try:
-        values = [ldexp(diagonal[k], exponent) for k in order]
+        values = [ldexp(value, exponent) for value, _, _ in ranked]
     except OverflowError:
         raise NumericsError("eigenvalues overflow the float range") from None
-    for k in order:
-        x0, x1, x2, x3 = rows[k]
-        floor = max(abs(x0), abs(x1), abs(x2), abs(x3)) - _SIGN_TIE_TOL
-        lead = (x0 if abs(x0) >= floor else x1 if abs(x1) >= floor
-                else x2 if abs(x2) >= floor else x3)
-        values += (-x0, -x1, -x2, -x3) if lead < 0.0 else rows[k]
+    for _, _, row in ranked:
+        x0, x1, x2, x3 = row
+        m0, m1, m2, m3 = abs(x0), abs(x1), abs(x2), abs(x3)
+        floor = max(m0, m1, m2, m3) - _SIGN_TIE_TOL
+        lead = x0 if m0 >= floor else x1 if m1 >= floor else x2 if m2 >= floor else x3
+        values += (-x0, -x1, -x2, -x3) if lead < 0.0 else row
     # one read-only block: the eigenvalues, then the diagonalizer's rows
-    out = np.array(values).reshape(5, 4)
-    out.setflags(write=False)
-    return EigenSystem(eigenvalues=out[0], diagonalizer=out[1:], sweeps=sweeps)
+    out = np.array(values)
+    out.shape = (5, 4)
+    out.flags.writeable = False
+    return EigenSystem(out[0], out[1:], sweeps)
 
 
 def plane_rotation(p: int, q: int, theta: float) -> np.ndarray:

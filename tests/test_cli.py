@@ -322,6 +322,15 @@ class TestSimulate:
             "--init", "1,0,1,0,0,0,0,0",
         ]) == 2
 
+    @pytest.mark.parametrize("level", ["0", "5"])
+    def test_init_level_outside_1_to_4_exits_2(self, tmp_path, capsys, level):
+        # StateVector.basis refuses the level through row_of, the rule's owner
+        out = tmp_path / "init.csv"
+        argv = ["simulate", "--model", "I", "--kappa", "41=0.7", "--init", level]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"level {level} outside 1..4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_off_resonance_needs_flag(self, tmp_path):
         base = [
             "simulate", "--model", "I", "--kappa", "41=0.7",

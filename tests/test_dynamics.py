@@ -14,11 +14,12 @@ import pytest
 from hypothesis import event, example, given, settings, target
 from hypothesis import strategies as st
 
-from su4rabi import dynamics
+from su4rabi import dynamics, frame, models
 from su4rabi.dynamics import (
     _PHASE_TOL,
     _UNIT_ROUNDOFF,
     _TABLE_MIN_POINTS,
+    _checked_grid,
     _phase_planes,
     _pointwise_planes,
     _rk4_step_matrices,
@@ -63,11 +64,6 @@ def schrodinger_rhs(model, drive, t, amplitudes):
 
 def uniform_grid(t_max, n_points):
     return np.linspace(0.0, t_max, n_points)
-
-
-def max_abs(grid):
-    """max|t| of a grid, the argument the phase-plane kernels take with it."""
-    return float(np.abs(grid).max())
 
 
 def zero_coupling_drive(model):
@@ -849,13 +845,11 @@ class TestBasisPopulations:
         drive = off_resonant_drive(model, detunings, RAMP_COUPLINGS)
         solution = solve_frame(model, drive, allow_nonresonant=any(detunings))
         lam = solution.eigensystem.eigenvalues
-        assert (
-            grid.size >= _TABLE_MIN_POINTS and _table_planes(grid, lam, max_abs(grid)) is not None
-        ) == table
+        assert _checked_grid(grid)[2] == table
         pairs = np.triu_indices(4)
         row = np.empty((4, 4), dtype=np.intp)
         row[pairs] = row[pairs[::-1]] = np.arange(10)
-        table_rows = solution._pair_table(grid, max_abs(grid), np.empty((2, 10, grid.size)), pairs)
+        table_rows = solution._pair_table(_checked_grid(grid), np.empty((2, 10, grid.size)), pairs)
         for start, pops in enumerate(solution.populations(BASIS_STATES, grid)):
             assert pops.shape == (grid.size, 4)
             assert np.array_equal(table_rows[row[start]].T, pops)
@@ -979,6 +973,28 @@ def test_every_entry_point_refuses_times_alike(times, message):
         assert str(exc.value) == message, name
 
 
+@pytest.mark.parametrize("points", [101, 2001])
+def test_every_entry_point_checks_its_times_once(monkeypatch, points):
+    # each call checks its grid once and hands the checked array on, to
+    # the spectral kernels and to the PopulationTrace it returns; at 2 001
+    # points the phase table's uniformity test is decided in that check
+    calls = []
+
+    def counted(times, check=models.check_times):
+        calls.append(times)
+        return check(times)
+
+    for module in (models, dynamics, frame):
+        monkeypatch.setattr(module, "check_times", counted)
+    grid = np.linspace(0.0, 1.0, points)
+    entry_points = dict(TIME_ENTRY_POINTS, PopulationTrace=lambda times: PopulationTrace(
+        times=times, populations=np.zeros((points, 4))))
+    for name, call in entry_points.items():
+        calls.clear()
+        call(grid)
+        assert len(calls) == 1, name
+
+
 class TestPhases:
     @given(
         st.lists(st.floats(-1e3, 1e3) | st.just(-0.0), min_size=1, max_size=4),
@@ -1057,9 +1073,9 @@ class TestPhasePlanes:
     @given(uniform_grids(), eigenvalue_sets)
     @settings(max_examples=80, deadline=None)
     def test_table_matches_per_value_planes(self, grid, lam):
-        planes = _table_planes(grid, lam, max_abs(grid))
-        assert planes is not None  # a uniform grid takes the table
-        assert np.array_equal(_phase_planes(grid, lam, max_abs(grid)), planes)
+        assert _checked_grid(grid)[2]  # a uniform grid takes the table
+        planes = _table_planes(grid, lam)
+        assert np.array_equal(_phase_planes(_checked_grid(grid), lam), planes)
         scale = _UNIT_ROUNDOFF * float(np.abs(lam).max() * np.abs(grid).max())
         deviation = float(np.abs(planes - _pointwise_planes(grid, lam)).max())
         target(deviation / (scale + _UNIT_ROUNDOFF))
@@ -1073,7 +1089,7 @@ class TestPhasePlanes:
         grid = np.linspace(0.0, 5e4, 50_001)
         scale = _UNIT_ROUNDOFF * float(np.abs(lam).max()) * 5e4
         deviation = float(
-            np.abs(_table_planes(grid, lam, max_abs(grid)) - _pointwise_planes(grid, lam)).max()
+            np.abs(_table_planes(grid, lam) - _pointwise_planes(grid, lam)).max()
         )
         assert 0.5 * scale <= deviation <= TABLE_ARGUMENT_ULPS * scale
 
@@ -1085,7 +1101,7 @@ class TestPhasePlanes:
         for grid, lam in zero_crossing_grids():
             with monkeypatch.context() as patch:
                 patch.setattr(dynamics, "_pointwise_planes", refuse)
-                planes = _phase_planes(grid, lam, max_abs(grid))
+                planes = _phase_planes(_checked_grid(grid), lam)
             scale = _UNIT_ROUNDOFF * float(np.abs(lam).max() * np.abs(grid).max())
             reference = _pointwise_planes(grid, lam)
             reference -= planes
@@ -1100,13 +1116,13 @@ class TestPhasePlanes:
     ])
     def test_non_uniform_grid_takes_per_value_path(self, grid):
         lam = solve_frame(MODEL_I, CHAIN_DRIVE).eigensystem.eigenvalues
-        assert _table_planes(grid, lam, max_abs(grid)) is None
-        assert np.array_equal(_phase_planes(grid, lam, max_abs(grid)), _pointwise_planes(grid, lam))
+        assert not _checked_grid(grid)[2]
+        assert np.array_equal(_phase_planes(_checked_grid(grid), lam), _pointwise_planes(grid, lam))
 
     def test_short_grid_takes_per_value_path(self):
         lam = solve_frame(MODEL_I, CHAIN_DRIVE).eigensystem.eigenvalues
         grid = uniform_grid(50.0, _TABLE_MIN_POINTS - 1)
-        assert np.array_equal(_phase_planes(grid, lam, max_abs(grid)), _pointwise_planes(grid, lam))
+        assert np.array_equal(_phase_planes(_checked_grid(grid), lam), _pointwise_planes(grid, lam))
 
     def test_amplitudes_and_populations_share_one_kernel(self):
         solution = solve_frame(MODEL_I, CHAIN_DRIVE)

@@ -253,6 +253,15 @@ class TestStateVector:
             with pytest.raises(ConfigurationError, match="is not an integer 1..4"):
                 owner(level)
 
+    @pytest.mark.parametrize("level", [True, False, np.True_])
+    def test_basis_rejects_bool_level(self, level):
+        # a bool is an int to Python and True == 1, so True passed the level
+        # test as level 1 (row 3); np.True_ is no np.integer and was refused
+        # all along, the control case
+        for owner in (StateVector.basis, row_of):
+            with pytest.raises(ConfigurationError, match="level .* is not an integer 1..4"):
+                owner(level)
+
     @pytest.mark.parametrize("level", [np.int64(2), np.int32(4), np.uint8(1)])
     def test_basis_takes_numpy_integer_levels(self, level):
         expected = StateVector.basis(int(level)).amplitudes

@@ -243,6 +243,56 @@ class TestJacobi:
         ).max() < 1e-12 * scale
 
 
+# An integer-valued symmetric matrix, so that an int64 copy is the same matrix.
+LAYOUT_MATRIX = ((4.0, 1.0, 0.0, 2.0), (1.0, -3.0, 5.0, 0.0),
+                 (0.0, 5.0, 2.0, -1.0), (2.0, 0.0, -1.0, 6.0))
+
+
+def input_layouts(rows):
+    """The same 4x4 matrix in each form ``jacobi_eigh`` takes."""
+    base = np.array(rows, dtype=float)
+    read_only = base.copy()
+    read_only.flags.writeable = False
+    wide = np.zeros((8, 8), dtype=complex)
+    wide[::2, ::2] = base
+    return {
+        "C-order float64": base,
+        "F-order": np.asfortranarray(base),
+        "transposed view": np.ascontiguousarray(base.T).T,
+        "strided view": wide.real[::2, ::2],
+        "read-only": read_only,
+        "int64": base.astype(np.int64),
+        "complex, zero imaginary parts": base.astype(complex),
+        "nested list": base.tolist(),
+    }
+
+
+class TestJacobiInputLayouts:
+    @pytest.mark.parametrize("layout", list(input_layouts(LAYOUT_MATRIX)))
+    def test_every_layout_gives_the_same_bits(self, layout):
+        reference = jacobi_eigh(np.array(LAYOUT_MATRIX))
+        es = jacobi_eigh(input_layouts(LAYOUT_MATRIX)[layout])
+        assert es.eigenvalues.dtype == es.diagonalizer.dtype == np.float64
+        assert es.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+        assert es.diagonalizer.tobytes() == reference.diagonalizer.tobytes()
+        assert es.sweeps == reference.sweeps
+
+    @pytest.mark.parametrize("matrix,error", [
+        (np.array(LAYOUT_MATRIX) + 1e-3j * np.eye(4), ValueError),  # imaginary part
+        (np.array(LAYOUT_MATRIX)[:3, :3], ValueError),  # shape
+        (np.array(LAYOUT_MATRIX)[None], ValueError),  # shape
+        (np.where(np.eye(4) > 0, np.nan, LAYOUT_MATRIX), NumericsError),
+        (np.where(np.eye(4) > 0, np.inf, LAYOUT_MATRIX), NumericsError),
+        (np.triu(LAYOUT_MATRIX), ValueError),  # asymmetry
+    ])
+    def test_each_refusal_keeps_its_class(self, matrix, error):
+        forms = [matrix, np.asfortranarray(matrix), matrix.tolist()]
+        for form in forms:
+            with pytest.raises(Exception) as caught:
+                jacobi_eigh(form)
+            assert caught.type is error
+
+
 class TestComposeFactor:
     def test_zero_angles_identity(self):
         assert np.array_equal(compose_rotations(np.zeros(6)), np.eye(4))
