@@ -20,6 +20,7 @@ directory, overridable with SU4RABI_OUTDIR.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import algebra
-from .dynamics import rk4_solve, solve_frame, trace_via_spectral
+from .dynamics import PopulationBlocks, rk4_solve, solve_frame
 from .errors import ConfigurationError, NumericsError
 from .frame import check_time_independence, resonant_drive, rotate
 from .models import (
@@ -42,6 +43,7 @@ from .models import (
     StateVector,
     Transition,
     catalog,
+    check_increasing,
     get_model,
 )
 # not called here since reduce-su2 reads its eigenvalues from the solved
@@ -232,7 +234,32 @@ def build_drive(cfg: RunConfig) -> DriveParams:
     return drive
 
 
-def run_trace(cfg: RunConfig, allow_nonresonant: bool = False) -> PopulationTrace:
+@dataclass(frozen=True)
+class StreamedTrace:
+    """One start state's spectral trace, evaluated a block of grid times at a time.
+
+    It reads like a ``PopulationTrace``: ``times`` is the checked grid, and
+    ``populations`` evaluates every row at once. ``write_trace_csv`` instead
+    evaluates, formats and writes one block of ``blocks`` after another.
+    """
+
+    blocks: PopulationBlocks
+
+    def __post_init__(self) -> None:
+        check_increasing(self.blocks.times)
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.blocks.times
+
+    @property
+    def populations(self) -> np.ndarray:
+        return self.blocks.populations()[0]
+
+
+def run_trace(cfg: RunConfig, allow_nonresonant: bool = False) -> PopulationTrace | StreamedTrace:
+    """The trace of one run, with every check that can refuse it done: an
+    RK4 trace is marched in full, a spectral one is evaluated as it is written."""
     model = get_model(cfg.model)
     drive = build_drive(cfg)
     state = initial_state(cfg.init)
@@ -245,7 +272,7 @@ def run_trace(cfg: RunConfig, allow_nonresonant: bool = False) -> PopulationTrac
     if cfg.method == "rk4":
         trace, _ = rk4_solve(model, drive, state, t_grid)
         return trace
-    return trace_via_spectral(model, drive, state, t_grid, allow_nonresonant)
+    return StreamedTrace(solve_frame(model, drive, allow_nonresonant).blocks([state], t_grid))
 
 
 def trace_metadata(cfg: RunConfig) -> list[tuple[str, str]]:
@@ -296,13 +323,16 @@ _ZERO_FIELD = np.frombuffer(b"0.000000000000e+00", np.uint8)
 _DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 # "0000".."9999", one uint32 each
 _DIGITS4 = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"), axis=-1).view("<u4").ravel()
-_k = np.arange(-99, 100)
-_EXPONENT = np.column_stack((  # "e-99".."e+99", indexed by exponent + 99
-    np.full(_k.size, ord("e")),
-    np.where(_k < 0, ord("-"), ord("+")),
-    _DIGITS4.view(np.uint8).reshape(-1, 4)[abs(_k), 2:],  # "00".."99"
+# "e-99".."e+99" as one uint32 each, indexed by the power index
+# k - _POW10_MIN of 10^k, k = 12 - E; a value's final exponent E lies in
+# -99..99, and the entries past it are never read
+_e = 12 - _POW10_MIN - np.arange(_POW10.size)
+_EXPONENT = np.column_stack((
+    np.full(_e.size, ord("e")),
+    np.where(_e < 0, ord("-"), ord("+")),
+    _DIGITS4.view(np.uint8).reshape(-1, 4)[abs(_e) % 100, 2:],  # "00".."99"
 )).astype(np.uint8).view("<u4").ravel()
-del _k
+del _e
 _CSV_FIELD = np.dtype({
     "names": ["lead", "dot", "g1", "g2", "g3", "exp", "sep"],
     "formats": ["u1", "u1", "<u4", "<u4", "<u4", "<u4", "u1"],
@@ -318,7 +348,7 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, a - high
 
 
-def _format_csv_rows(block: np.ndarray) -> tuple[bytes, int]:
+def _format_csv_rows(block: np.ndarray) -> tuple[memoryview | bytes, int]:
     """The ``_CSV_ROW`` bytes of an (n, 5) float block, and how many values printf wrote.
 
     For x in [1e-99, 1e99) let E be its decimal exponent, k = 12 - E, P the
@@ -343,52 +373,75 @@ def _format_csv_rows(block: np.ndarray) -> tuple[bytes, int]:
     ``_CSV_ROW`` printf renders every row that holds a value whose text has
     another width: a negative value, -0.0, nan, inf, or a magnitude outside
     [1e-99, 1e99), subnormals included.
+
+    Each array is freed, or reused in place, as soon as it is spent: a
+    value's power index k - _POW10_MIN stands for its exponent throughout,
+    y - rint(y) takes y's place, and the digit groups come off the digits
+    in place, four at a time. The rendered buffer is returned as a view,
+    not copied into bytes, unless a wide row is spliced in.
     """
     n = len(block)
     x = block.ravel()
     fast = (x >= 1e-99) & (x < 1e99)  # also false for nan
+    special = np.flatnonzero(~fast)
     safe = np.where(fast, x, 1.0)
-    exp = np.floor(np.log10(safe)).astype(np.intp)
-    y = safe * _POW10.take(12 - _POW10_MIN - exp)
+    del fast
+    power = np.log10(safe)
+    np.floor(power, out=power)
+    np.subtract(12 - _POW10_MIN, power, out=power)
+    power = power.astype(np.intp)
+    y = _POW10.take(power)
+    y *= safe
+    del safe
     # log10 can miss the decade by one next to a power of ten
-    off = (y < 1e12) | (y >= 1e13)
-    if off.any():
-        exp[off] += np.where(y[off] < 1e12, -1, 1)
-        y[off] = safe[off] * _POW10.take(12 - _POW10_MIN - exp[off])
+    off = np.flatnonzero((y < 1e12) | (y >= 1e13))
+    if off.size:
+        power[off] += np.where(y[off] < 1e12, 1, -1)
+        y[off] = x[off] * _POW10.take(power[off])
     rounded = np.rint(y)
-    near = np.flatnonzero(np.abs(y - rounded) > 0.49)
+    np.subtract(y, rounded, out=y)  # exact; y now holds y - rint(y)
+    near = np.flatnonzero((y > 0.49) | (y < -0.49))
     half = near
     if near.size:
-        xs, ys, rs = safe[near], y[near], rounded[near]
-        k = 12 - _POW10_MIN - exp[near]
+        xs, rs, ds, k = x[near], rounded[near], y[near], power[near]
+        ys = rs + ds  # y itself, exactly
         xh, xl = _split(xs)
         ph, pl = _split(_POW10.take(k))
         e = ((xh * ph - ys) + xh * pl + xl * ph) + xl * pl
-        r = (ys - rs) + e + xs * _POW10_LO.take(k)
+        r = ds + e + xs * _POW10_LO.take(k)
         rounded[near] = rs + np.rint(r)
         half = near[np.abs(np.abs(r) - 0.5) < 1e-12]
+    del y
     digits = rounded.astype(np.int64)
+    del rounded
     carry = digits == 10**13
     digits[carry] = 10**12
-    exp += carry
+    power -= carry
 
     buf = np.empty((n, _CSV_WIDTH), np.uint8)
     field = buf.view(_CSV_FIELD).reshape(-1)
-    high = digits // 10**8  # the leading 5 digits
-    low = digits - high * 10**8
-    lead = high // 10**4
-    mid = low // 10**4
-    field["lead"] = lead + ord("0")
+    field["exp"] = _EXPONENT.take(power)
+    del power, carry
     field["dot"] = ord(".")
-    field["g1"] = _DIGITS4.take(high - lead * 10**4)
-    field["g2"] = _DIGITS4.take(mid)
-    field["g3"] = _DIGITS4.take(low - mid * 10**4)
-    field["exp"] = _EXPONENT.take(exp + 99)
     field["sep"] = ord(",")
     buf[:, -1] = ord("\n")
+    # four digits at a time off the end: the quotient goes to the other
+    # array, the remainder stays in place (floor_divide by a constant is
+    # far faster than divmod)
+    rest = digits // 10**4
+    scratch = rest * 10**4
+    digits -= scratch
+    field["g3"] = _DIGITS4.take(digits)
+    np.floor_divide(rest, 10**4, out=digits)
+    rest -= np.multiply(digits, 10**4, out=scratch)
+    field["g2"] = _DIGITS4.take(rest)
+    np.floor_divide(digits, 10**4, out=rest)
+    digits -= np.multiply(rest, 10**4, out=scratch)
+    field["g1"] = _DIGITS4.take(digits)
+    field["lead"] = rest + ord("0")
+    del digits, rest, scratch
     slots = buf.reshape(-1, 19)
     wide = []
-    special = np.flatnonzero(~fast)
     if special.size:
         odd = x[special]
         zero = (odd == 0) & ~np.signbit(odd)
@@ -404,29 +457,49 @@ def _format_csv_rows(block: np.ndarray) -> tuple[bytes, int]:
         text = "%.12e" * half.size % tuple(x[half].tolist())
         slots[half, :18] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 18)
     if not wide:
-        return buf.tobytes(), half.size
+        return buf.reshape(-1).data, half.size
     pieces = []
     start = 0
     for row in wide:
-        pieces.append(buf[start:row].tobytes())
+        pieces.append(buf[start:row])
         pieces.append((_CSV_ROW % tuple(block[row].tolist())).encode())
         start = row + 1
-    pieces.append(buf[start:].tobytes())
+    pieces.append(buf[start:])
     return b"".join(pieces), half.size + 5 * len(wide)
 
 
-def write_trace_csv(
-    path: str, trace: PopulationTrace, metadata: list[tuple[str, str]]
-) -> None:
+def _write_header(fh, metadata: list[tuple[str, str]]) -> None:
     head = "".join(f"# {key} = {value}\n" for key, value in metadata)
+    fh.write((head + "t,p1,p2,p3,p4\n").encode())
+
+
+def _write_rows(fh, times: np.ndarray, populations: np.ndarray) -> float:
+    """Write one block of rows, times and their (m, 4) populations; return
+    the block's largest deviation of a row's population sum from 1."""
+    norm_error = np.abs(1.0 - populations.sum(axis=1)).max()
+    fh.write(_format_csv_rows(np.column_stack((times, populations)))[0])
+    return norm_error
+
+
+def write_trace_csv(
+    path: str, trace: PopulationTrace | StreamedTrace, metadata: list[tuple[str, str]]
+) -> float:
+    """Write a trace as CSV, one block of rows at a time, and return its max
+    norm error: the largest deviation of a row's population sum from 1,
+    kept as a running maximum over the blocks (a nan stays nan)."""
+    times = trace.times
+    if isinstance(trace, StreamedTrace):
+        blocks = ((start, pops[0]) for start, pops in trace.blocks)
+    else:
+        blocks = ((start, trace.populations[start : start + _CSV_BLOCK])
+                  for start in range(0, times.size, _CSV_BLOCK))
+    worst = np.float64(0.0)
     with open(path, "wb") as fh:
-        fh.write((head + "t,p1,p2,p3,p4\n").encode())
-        for start in range(0, trace.times.size, _CSV_BLOCK):
-            stop = start + _CSV_BLOCK
-            block = np.column_stack(
-                (trace.times[start:stop], trace.populations[start:stop])
-            )
-            fh.write(_format_csv_rows(block)[0])
+        _write_header(fh, metadata)
+        for start, pops in blocks:
+            error = _write_rows(fh, times[start : start + len(pops)], pops)
+            worst = np.maximum(worst, error)
+    return float(worst)
 
 
 # --- subcommands -----------------------------------------------------------
@@ -512,17 +585,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"not enough memory for a grid of --steps {cfg.steps} points"
         ) from None
     out = args.out or os.path.join(default_outdir(), "trace.csv")
-    write_trace_csv(out, trace, trace_metadata(cfg))
-    print(f"wrote {out} ({trace.times.size} rows, max norm error {trace.max_norm_error():.3e})")
+    norm_error = write_trace_csv(out, trace, trace_metadata(cfg))
+    print(f"wrote {out} ({trace.times.size} rows, max norm error {norm_error:.3e})")
     return 0
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
     """Write the four standard traces of one figure, start levels 1..4.
 
-    The frame is solved once and ``FrameSolution.populations`` evaluates the
-    four basis starts together, so each trace is byte for byte the CSV of
-    ``simulate`` from that start level.
+    The frame is solved once and ``FrameSolution.blocks`` evaluates the
+    four basis starts together, block by block; each block is written to
+    all four files before the next is evaluated, so each trace is byte for
+    byte the CSV of ``simulate`` from that start level.
     """
     if args.id not in FIGURE_MODELS:
         raise ConfigurationError(f"figure id {args.id} outside 7..12")
@@ -532,20 +606,22 @@ def cmd_figure(args: argparse.Namespace) -> int:
     kappas = {tr: STANDARD_COUPLINGS[tr] for tr in model.allowed}
     cfg = RunConfig(model=model.id, kappas=kappas)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.steps)
-    # the four start levels share one drive and grid: solve once, evaluate together
     starts = [StateVector.basis(level) for level in LEVELS]
-    populations = solve_frame(model, build_drive(cfg)).populations(starts, t_grid)
-    written = []
-    for level, pops in zip(LEVELS, populations):
-        trace = PopulationTrace(times=t_grid, populations=pops)
-        meta = trace_metadata(replace(cfg, init=level))
-        if args.id == 10:
-            # the paper figure's label; the run itself is resonant
-            meta.append(("omega_field", "0.4 0.4 0.4"))
-        path = os.path.join(out_dir, f"fig{args.id}{CASE_SUFFIX[level]}.csv")
-        write_trace_csv(path, trace, meta)
-        written.append(path)
-    print(f"wrote {', '.join(written)}")
+    blocks = solve_frame(model, build_drive(cfg)).blocks(starts, t_grid)
+    paths = [os.path.join(out_dir, f"fig{args.id}{CASE_SUFFIX[level]}.csv") for level in LEVELS]
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        for level, fh in zip(LEVELS, files):
+            meta = trace_metadata(replace(cfg, init=level))
+            if args.id == 10:
+                # the paper figure's label; the run itself is resonant
+                meta.append(("omega_field", "0.4 0.4 0.4"))
+            _write_header(fh, meta)
+        for start, pops in blocks:
+            times = t_grid[start : start + pops.shape[1]]
+            for fh, rows in zip(files, pops):
+                _write_rows(fh, times, rows)
+    print(f"wrote {', '.join(paths)}")
     return 0
 
 

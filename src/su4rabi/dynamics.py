@@ -12,30 +12,30 @@ Both routes check their times once per call through
 ``models.check_times``. ``solve_frame`` builds the rotating frame of one
 (model, drive) pair and diagonalizes it once; each method of the
 resulting ``FrameSolution`` checks its grid once (``_checked_grid``,
-which also picks how the phase planes are formed) and hands it to one of
-two kernels, which compute one pair of planes, cos(L t) and sin(L t),
-for every state they evaluate. ``populations`` and ``amplitudes`` take
-any initial states, basis levels included: with w = T c(0) formed state
-by state, the parts [Re c; Im c] of all k states are one batched real
-(k, 8, 8) @ (8, n) product of the planes, and the populations are
-re^2 + im^2; one state peaks at 128 B per grid point, k states at
-max(64 (k + 1), 96 k) B. The frame matrix is real symmetric, so the
-propagator U(t) = T.T exp(-i L t) T is complex symmetric and the
-populations are reciprocal, P_{i<-j}(t) = P_{j<-i}(t); the ten pairs
-i <= j hold all sixteen of the basis starts. The pair kernel serves only
+which also picks how the phase planes are formed) and evaluates it one
+block of about 4 096 grid times at a time (``_plane_blocks``), so its
+working set is one block's, whatever the grid's length. ``blocks`` hands
+the blocks out as they are evaluated, once every check has run, and
+``populations`` and ``amplitudes`` collect them. They take any initial
+states, basis levels included: with w = T c(0) formed state by state,
+the parts [Re c; Im c] of all k states are one batched real
+(k, 8, 8) @ (8, m) product of a block's planes, and the populations are
+re^2 + im^2. The frame matrix is real symmetric, so the propagator
+U(t) = T.T exp(-i L t) T is complex symmetric and the populations are
+reciprocal, P_{i<-j}(t) = P_{j<-i}(t); the ten pairs i <= j hold all
+sixteen of the basis starts. The pair kernel serves only
 ``max_population_gap``, which compares the pair tables of two solutions
 under a relabelling of the levels: it writes their cos and sin parts,
-products of two rows of T.T against the planes, into a (2, 10, n) block
-with one batched (10, 4) @ (2, 4, n) product and squares and sums them
-in place, both tables inside one workspace allocated once per call.
+products of two rows of T.T against a block's planes, into a (2, 10, m)
+block with one batched (10, 4) @ (2, 4, m) product and squares and sums
+them in place, both tables inside one workspace per block.
 ``trace_via_spectral`` is the one-state shorthand, and its trace takes
 the checked grid. Short or non-uniform grids take one cos and one sin
-per value; long uniform ones take an angle-addition table
-(``_table_planes``). The table adds at most 9u max|L| max|t| (u = 2^-53)
-to the phases, measured 2.8u on the figure grids and 5.3u on grids
-crossing zero: below the eigenvalues' own backward error (7.9u max|L|
-for the Jacobi solver), which the phase budget u max|L| max|t| <= 1e-6
-covers.
+per value; long uniform ones take an angle-addition table. The table
+adds at most 9u max|L| max|t| (u = 2^-53) to the phases, measured 2.8u
+on the figure grids and 5.3u on grids crossing zero: below the
+eigenvalues' own backward error (7.9u max|L| for the Jacobi solver),
+which the phase budget u max|L| max|t| <= 1e-6 covers.
 
 The RK4 route runs in real arithmetic: a complex 4-vector x + i y is the
 real 8-vector [x; y], on which -i H acts as [[Im H, Re H], [-Re H, Im H]].
@@ -48,14 +48,16 @@ the maps serves an (8, k) block of k start states: ``rk4_solve_many``
 marches every state of a (model, drive) at once, ``rk4_solve`` is its
 one-state case, and ``_march`` runs each block of m steps as a
 group-major two-level prefix product in about 2 sqrt(m) Python-level
-calls. The populations are x^2 + y^2; the drift check alone judges the norm.
+calls. The populations are x^2 + y^2; the drift check alone judges the
+norm. A drive whose max|H| leaves the window where the stage products
+stay normal floats is refused before the march (``_RK4_SCALE_WINDOW``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,6 +78,7 @@ from .spectral import EigenSystem, jacobi_eigh
 
 __all__ = [
     "FrameSolution",
+    "PopulationBlocks",
     "rk4_solve",
     "rk4_solve_many",
     "solve_frame",
@@ -153,6 +156,13 @@ _UNIT_ROUNDOFF = 2.0**-53
 _RK4_BLOCK = 4096
 # Largest final norm drift a march may show; beyond it the step is too coarse.
 _RK4_NORM_TOL = 1e-6
+# The window of max|H|, the largest |entry| of H(t), in which the stage
+# products a @ k of ``_stage``, of order max|H|^2, stay normal floats at any
+# step: max|H|^2 is normal at the bottom, and leaves a factor of 2^6 below
+# the overflow threshold at the top for the eight-term sums and the growth
+# of the stages within a step. Powers of two, so the window is exact under
+# t -> 2^k t. An all-zero H takes no product and stays allowed.
+_RK4_SCALE_WINDOW = (2.0**-511, 2.0**509)
 
 
 def rk4_solve_many(
@@ -168,9 +178,12 @@ def rk4_solve_many(
     grid that ``check_times`` refuses, not strictly increasing, not uniform
     (a spacing off the first, h, by more than 1e-9 |h| + 8u max|t|; the
     second term allows for the rounding of the grid times themselves) or
-    whose spacing overflows, is a ConfigurationError. NumericsError when a
-    state leaves the finite range or its final norm drifts from 1 by more
-    than 1e-6 (the step was far too coarse for the couplings involved).
+    whose spacing overflows, is a ConfigurationError. NumericsError before
+    the march when max|H|, the largest |entry| of H(t) (its level energies
+    and couplings), is nonzero and lies outside ``_RK4_SCALE_WINDOW``, and
+    after it when a state leaves the finite range or its final norm drifts
+    from 1 by more than 1e-6 (the step was far too coarse for the couplings
+    involved).
     """
     k = len(states)
     if k == 0:
@@ -198,6 +211,14 @@ def rk4_solve_many(
             # is exact under t -> 2^k t
             if max(hi - h, h - lo) > 1e-9 * abs(h) + 8.0 * _UNIT_ROUNDOFF * t_abs:
                 raise ConfigurationError("time grid must be uniform for fixed-step RK4")
+            scale = max(float(np.abs(table.blocks[0]).max()), float(table.kappa.max()))
+            bottom, top = _RK4_SCALE_WINDOW
+            if scale and not bottom <= scale <= top:
+                raise NumericsError(
+                    f"RK4 cannot march max|H| = {scale:.3e}: its stage products, of order"
+                    f" max|H|^2, stay normal floats only for max|H| in [{bottom:.3e}, {top:.3e}];"
+                    " rescale the energies and couplings, and the times inversely"
+                )
 
         marched = np.empty((n_steps + 1, 8, k))
         c_rows = np.array([to_row_order(c0.amplitudes) for c0 in states]).T
@@ -251,6 +272,9 @@ _PHASE_TOL = 1e-6
 # 15 against 33 us, 301 points 27 against 28 us, 1 001 points 92 against
 # 38 us).
 _TABLE_MIN_POINTS = 320
+# Grid times the spectral kernels evaluate at a time, rounded by
+# ``_block_rows``; bounds their working set on long grids.
+_BLOCK_ROWS = 4096
 
 
 def _pointwise_planes(t_grid: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
@@ -268,57 +292,170 @@ def _checked_grid(t_grid) -> tuple[np.ndarray, float, bool]:
     serves the grid: at least ``_TABLE_MIN_POINTS`` times, each within
     4u max|t| of the time ``numpy.linspace(t[0], t[-1], n)`` forms, t[0] +
     k step with step = (t[-1] - t[0]) / (n - 1) and the last time t[-1]. A
-    linspace grid passes exactly, whether or not it crosses zero."""
+    linspace grid passes exactly, whether or not it crosses zero. The
+    times are compared ``_BLOCK_ROWS`` at a time, so a long grid's check
+    needs no temporary of its length."""
     times, t_abs = check_times(t_grid)
     n, t0 = times.size, times[0]
     if n < _TABLE_MIN_POINTS:
         return times, t_abs, False
+    tol = 4.0 * _UNIT_ROUNDOFF * t_abs
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
-        # numpy.linspace's own formation, the last time set to t[-1]
-        predicted = np.arange(n) * ((times[-1] - t0) / (n - 1)) + t0
-        predicted[-1] = times[-1]
-        drift = np.abs(predicted - times).max()
-    return times, t_abs, bool(drift <= 4.0 * _UNIT_ROUNDOFF * t_abs)
+        step = (times[-1] - t0) / (n - 1)
+        # numpy.linspace's own formation; its last time is t[-1] itself
+        for start in range(0, n - 1, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n - 1)
+            drift = np.arange(start, stop) * step + t0
+            drift -= times[start:stop]
+            if not np.abs(drift, out=drift).max() <= tol:
+                return times, t_abs, False
+    return times, t_abs, True
 
 
-def _table_planes(t_grid: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
-    """The planes of ``_pointwise_planes`` by angle addition, on a uniform
-    grid. With b = isqrt(n), time j b + i is the anchor t[j b] plus the
-    offset t[i] - t[0]; cos and sin are taken only at the sqrt(n) anchors
-    and offsets, and one batched product [cos A, sin A] @
-    [[cos D, sin D], [-sin D, cos D]] gives cos(A + D), sin(A + D) at every time."""
-    n = t_grid.size
+def _block_rows(n: int) -> int:
+    """Rows per evaluation block on an n-point grid: the largest multiple of
+    b = isqrt(n) up to ``_BLOCK_ROWS``, and at least 2 b, so that every
+    block starts at an anchor of the phase table and spans two or more."""
     b = math.isqrt(n)
-    anchors = t_grid[::b]
-    offsets = t_grid[:b] - t_grid[0]
-    m, g = eigenvalues.size, anchors.size
-    angles = np.multiply.outer(eigenvalues, anchors)
-    left = np.empty((m, g, 2))
-    np.cos(angles, out=left[..., 0])
-    np.sin(angles, out=left[..., 1])
+    return b * max(2, _BLOCK_ROWS // b)
+
+
+def _offset_factors(offsets: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """The right factors [[cos D, sin D], [-sin D, cos D]] of the angle
+    addition table at the offsets D = L (t[i] - t[0]), the cos plane's
+    factors and then the sin plane's, shape (2, m, 2, b)."""
     angles = np.multiply.outer(eigenvalues, offsets)
-    right = np.empty((2, m, 2, b))  # the cos plane's factors, then the sin plane's
+    right = np.empty((2, eigenvalues.size, 2, offsets.size))
     np.cos(angles, out=right[0, :, 0])
     np.sin(angles, out=right[1, :, 0])
     np.negative(right[1, :, 0], out=right[0, :, 1])
     right[1, :, 1] = right[0, :, 0]
+    return right
+
+
+def _anchored_planes(
+    anchors: np.ndarray, right: np.ndarray, eigenvalues: np.ndarray, count: int
+) -> np.ndarray:
+    """The planes at anchor + offset, for the first ``count`` of the
+    times that follow the anchors; ``right`` from ``_offset_factors``."""
+    m, g, b = eigenvalues.size, anchors.size, right.shape[-1]
+    angles = np.multiply.outer(eigenvalues, anchors)
+    left = np.empty((m, g, 2))
+    np.cos(angles, out=left[..., 0])
+    np.sin(angles, out=left[..., 1])
     planes = np.empty((2 * m, g * b))
     np.matmul(left, right, out=planes.reshape(2, m, g, b))
-    return planes[:, :n]
+    return planes[:, :count]
 
 
-def _phase_planes(grid: tuple[np.ndarray, float, bool], eigenvalues: np.ndarray) -> np.ndarray:
-    """cos(L t) in rows 0-3 and sin(L t) in rows 4-7, shape (8, n), on a
-    grid from ``_checked_grid``: by the angle addition table where it
-    serves the grid, by one cos and one sin per value elsewhere."""
+def _plane_blocks(
+    grid: tuple[np.ndarray, float, bool], eigenvalues: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """cos(L t) in rows 0-3 and sin(L t) in rows 4-7 on a grid from
+    ``_checked_grid``, one block of ``_block_rows(n)`` times at a time,
+    each with its first row: by an angle addition table where it serves
+    the grid, by one cos and one sin per value elsewhere.
+
+    The table holds a uniform grid. With b = isqrt(n), time j b + i is the
+    anchor t[j b] plus the offset t[i] - t[0]; cos and sin are taken only
+    at the sqrt(n) anchors and offsets, and one batched product
+    [cos A, sin A] @ [[cos D, sin D], [-sin D, cos D]] gives cos(A + D),
+    sin(A + D) at every time. A block takes its own anchors t[s::b] and
+    the whole grid's offsets, so a grid of one block is one such product,
+    and a block's planes are the whole product's columns bit for bit as
+    far as OpenBLAS gives a column the same bits whatever the size of the
+    product: measured up to b = 707 (OpenBLAS 0.3.31; from b = 708 the
+    anchor count can move a last bit).
+    """
     t_grid, _, table = grid
-    return (_table_planes if table else _pointwise_planes)(t_grid, eigenvalues)
+    n = t_grid.size
+    rows, b = _block_rows(n), math.isqrt(n)
+    if table:
+        right = _offset_factors(t_grid[:b] - t_grid[0], eigenvalues)
+    start = 0
+    while start < n:
+        # the last b times or fewer join the block before them: on one anchor
+        # or one column NumPy would take a matrix-vector product, whose bits
+        # differ from the matrix product's
+        stop = n if start + rows + b >= n else start + rows
+        if table:
+            yield start, _anchored_planes(t_grid[start:stop:b], right, eigenvalues, stop - start)
+        else:
+            yield start, _pointwise_planes(t_grid[start:stop], eigenvalues)
+        start = stop
 
 
-# [x, y] -> [y, -x], exactly: the lower half of ``_parts``' mix from its upper half
+# [x, y] -> [y, -x], exactly: the lower half of ``_mix``' matrices from their upper half
 _SWAP_SIGNS = np.array([[1.0], [-1.0]])
 # The ten level pairs i <= j (0-based) of ``FrameSolution.max_population_gap``.
 _PAIR_LEVELS = np.triu_indices(4)
+
+
+def _pair_table(planes: np.ndarray, back: np.ndarray, out: np.ndarray, levels) -> np.ndarray:
+    """Populations of ten level pairs on one block of planes, one row per
+    pair and one column per grid time, written into ``out[0]`` and returned.
+
+    Row r is the pair of 0-based levels i = levels[0][r] and
+    j = levels[1][r]; ``back`` is T.T with its rows in level order.
+    U(t) = T.T exp(-i L t) T is complex symmetric, so the population of
+    level i from start j is that of level j from start i. For a basis
+    start w = T c(0) is a real row of T, so the pair's parts are the
+    product of rows i and j of T.T against the cos and the sin planes: one
+    batched (10, 4) @ (2, 4, m) product writes them into ``out``, a
+    (2, 10, m) block, where they are squared and summed in place.
+    """
+    pairs = back[levels[0]] * back[levels[1]]
+    np.matmul(pairs, planes.reshape(2, 4, -1), out=out)
+    out *= out
+    out[0] += out[1]
+    return out[0]
+
+
+@dataclass
+class PopulationBlocks:
+    """Level-ordered populations of k states on one checked grid, evaluated
+    one block of rows at a time.
+
+    ``FrameSolution.blocks`` makes it once every check that can refuse the
+    evaluation has passed. Each iteration evaluates the grid afresh and
+    yields, block by block, the first row and the (k, m, 4) populations:
+    the (k, 8, 8) @ (8, m) product of ``FrameSolution``'s mix with the
+    block's planes, squared and summed in place. Only one block's planes,
+    parts and populations are alive at a time, whatever the grid's length.
+    """
+
+    grid: tuple[np.ndarray, float, bool]
+    mix: np.ndarray
+    eigenvalues: np.ndarray
+
+    @property
+    def times(self) -> np.ndarray:
+        """The checked grid."""
+        return self.grid[0]
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
+        for start, pops in self._evaluate():
+            yield start, pops.transpose(0, 2, 1)
+
+    def _evaluate(self, out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+        """Each block's first row and (k, 4, m) populations; with ``out``, a
+        (k, 4, n) array, they are written into its columns."""
+        mix = self.mix
+        for start, planes in _plane_blocks(self.grid, self.eigenvalues):
+            parts = mix @ planes
+            del planes  # each array goes as soon as it is spent
+            parts *= parts
+            dest = None if out is None else out[:, :, start : start + parts.shape[2]]
+            pops = np.add(parts[:, :4], parts[:, 4:], out=dest)
+            del parts
+            yield start, pops
+
+    def populations(self) -> np.ndarray:
+        """Every block at once: the (k, n, 4) populations."""
+        out = np.empty((len(self.mix), 4, self.grid[0].size))
+        for _ in self._evaluate(out):
+            pass
+        return out.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -333,11 +470,11 @@ class FrameSolution:
     frame: RotatingFrame
     eigensystem: EigenSystem
 
-    def _planes(self, grid) -> tuple[np.ndarray, np.ndarray]:
-        """The phase planes on a grid from ``_checked_grid``, and T.T with
-        its rows in level order.
+    def _back(self, grid) -> np.ndarray:
+        """T.T with its rows in level order, once the phases on a grid from
+        ``_checked_grid`` pass their budget.
 
-        Both kernels start here. The phases carry an absolute rounding
+        Every kernel starts here. The phases carry an absolute rounding
         error of about u max|L| max|t| (u = 2^-53, from the rounded product
         L t and from L's own backward error); above 1e-6 they have lost
         their accuracy and NumericsError names both factors.
@@ -351,45 +488,57 @@ class FrameSolution:
                 f" {budget:.3e} > {_PHASE_TOL:.0e}, from max|eigenvalue| = {lam_abs:.3e}"
                 f" times max|t| = {grid[1]:.3e}; shorten the grid or weaken the couplings"
             )
-        return _phase_planes(grid, lam), self.eigensystem.diagonalizer.T[::-1]
+        return self.eigensystem.diagonalizer.T[::-1]
 
-    def _parts(self, states: Iterable[StateVector], grid) -> np.ndarray:
-        """[Re c; Im c], the (k, 8, n) parts of the level-ordered frame
-        amplitudes c of k states, from any iterable, on a grid from ``_checked_grid``.
+    def _mix(self, states: Iterable[StateVector], back: np.ndarray) -> np.ndarray:
+        """The (k, 8, 8) matrices that take the planes to [Re c; Im c], the
+        parts of the level-ordered frame amplitudes c of k states.
 
         With w = T c(0) = a + i b, one product per state, exp(-i L t) w has
-        the real part a cos + b sin and the imaginary part b cos - a sin: one
-        batched real (k, 8, 8) @ (8, n) product of the planes with T.T times
-        [[a, b], [b, -a]], whose lower half is the upper one's exact swap.
+        the real part a cos + b sin and the imaginary part b cos - a sin:
+        T.T times [[a, b], [b, -a]], whose lower half is the upper one's
+        exact swap.
         """
-        planes, back = self._planes(grid)
         t_mat = self.eigensystem.diagonalizer
         w = np.array([t_mat @ to_row_order(c0.amplitudes) for c0 in states])
         ab = w.view(float).reshape(-1, 1, 4, 2).transpose(0, 1, 3, 2)  # [a, b] per state
         mix = np.empty((len(w), 2, 4, 2, 4))  # [[back a, back b], [back b, -back a]]
         np.multiply(back[:, None], ab, out=mix[:, 0])
         np.multiply(mix[:, 0, :, ::-1], _SWAP_SIGNS, out=mix[:, 1])
-        return mix.reshape(-1, 8, 8) @ planes
+        return mix.reshape(-1, 8, 8)
 
-    def _pair_table(self, grid, out: np.ndarray, levels) -> np.ndarray:
-        """Populations of ten level pairs, one row per pair and one column
-        per grid time, written into ``out[0]`` and returned.
+    def blocks(self, states: Iterable[StateVector], t_grid) -> PopulationBlocks:
+        """Level-ordered populations of each state, one block of grid times
+        at a time; see ``PopulationBlocks``. Every check of ``populations``
+        runs here, before the first block is evaluated."""
+        return self._blocks(states, _checked_grid(t_grid))
 
-        Row r is the pair of 0-based levels i = levels[0][r] and
-        j = levels[1][r]. U(t) = T.T exp(-i L t) T is complex symmetric, so
-        the population of level i from start j is that of level j from
-        start i. For a basis start w = T c(0) is a real row of T, so the
-        pair's parts are the product of rows i and j of T.T against the cos
-        and the sin planes: one batched (10, 4) @ (2, 4, n) product writes
-        them into ``out``, a (2, 10, n) block, where they are squared and
-        summed in place.
+    def _blocks(self, states: Iterable[StateVector], grid) -> PopulationBlocks:
+        """The ``blocks`` of k states on a grid from ``_checked_grid``."""
+        mix = self._mix(states, self._back(grid))
+        return PopulationBlocks(grid, mix, self.eigensystem.eigenvalues)
+
+    def populations(self, states: Iterable[StateVector], t_grid) -> list[np.ndarray]:
+        """Level-ordered populations of each state, one row per grid time.
+
+        re^2 + im^2 of the frame amplitudes, from every block of
+        ``blocks``. A grid ``check_times`` refuses is a ConfigurationError,
+        phases past their accuracy a NumericsError.
         """
-        planes, back = self._planes(grid)
-        pairs = back[levels[0]] * back[levels[1]]
-        np.matmul(pairs, planes.reshape(2, 4, -1), out=out)
-        out *= out
-        out[0] += out[1]
-        return out[0]
+        return list(self.blocks(states, t_grid).populations())
+
+    def amplitudes(self, states: Iterable[StateVector], t_grid) -> list[np.ndarray]:
+        """Level-ordered frame amplitudes of each state, one row per grid time.
+
+        re + i im from the planes and mix of ``populations``.
+        """
+        grid = _checked_grid(t_grid)
+        mix = self._mix(states, self._back(grid))
+        out = np.empty((len(mix), 4, grid[0].size), dtype=complex)
+        for start, planes in _plane_blocks(grid, self.eigensystem.eigenvalues):
+            parts = mix @ planes
+            out[..., start : start + parts.shape[-1]] = parts[:, :4] + 1j * parts[:, 4:]
+        return list(out.transpose(0, 2, 1))
 
     def max_population_gap(self, other: FrameSolution, levels: Sequence[int], t_grid) -> float:
         """The largest |P_i(t; start j) - P'_{levels[i-1]}(t; start levels[j-1])|
@@ -399,43 +548,29 @@ class FrameSolution:
         ``levels`` relabels the levels 1..4 and must be a permutation of
         them. Both sides are reciprocal, so the sixteen (level, start)
         comparisons are the ten of the pairs i <= j, and the maximum is
-        theirs bit for bit. Both pair tables, the other side's rows in the
-        relabelled order, and their difference share one (3, 10, n)
-        workspace. Same checks and errors as ``populations``.
+        theirs bit for bit. Block by block, both pair tables
+        (``_pair_table``), the other side's rows in the relabelled order,
+        and their difference share one (3, 10, m) workspace, beside one
+        side's planes at a time. Same checks and errors as ``populations``.
         """
         if sorted(levels) != [1, 2, 3, 4]:
             raise ConfigurationError(f"level relabelling {levels} is not a permutation of 1..4")
         order = np.asarray(levels, dtype=np.intp) - 1
-        grid = _checked_grid(t_grid)
-        work = np.empty((3, 10, grid[0].size))
-        mine = self._pair_table(grid, work[:2], _PAIR_LEVELS)
         relabelled = (order[_PAIR_LEVELS[0]], order[_PAIR_LEVELS[1]])
-        theirs = other._pair_table(grid, work[1:], relabelled)
-        np.subtract(mine, theirs, out=mine)
-        np.abs(mine, out=mine)
-        return float(mine.max())
-
-    def populations(self, states: Iterable[StateVector], t_grid) -> list[np.ndarray]:
-        """Level-ordered populations of each state, one row per grid time.
-
-        re^2 + im^2 of the frame amplitudes. A grid ``check_times`` refuses
-        is a ConfigurationError, phases past their accuracy a NumericsError.
-        """
-        return list(self._populations(states, _checked_grid(t_grid)))
-
-    def _populations(self, states: Iterable[StateVector], grid) -> np.ndarray:
-        """The (k, n, 4) populations of ``populations`` on a grid from ``_checked_grid``."""
-        parts = self._parts(states, grid)
-        parts *= parts
-        return np.add(parts[:, :4], parts[:, 4:]).transpose(0, 2, 1)
-
-    def amplitudes(self, states: Iterable[StateVector], t_grid) -> list[np.ndarray]:
-        """Level-ordered frame amplitudes of each state, one row per grid time.
-
-        re + i im from the same kernel as ``populations``.
-        """
-        parts = self._parts(states, _checked_grid(t_grid))
-        return list((parts[:, :4] + 1j * parts[:, 4:]).transpose(0, 2, 1))
+        grid = _checked_grid(t_grid)
+        backs = self._back(grid), other._back(grid)
+        worst = np.float64(0.0)
+        their_planes = _plane_blocks(grid, other.eigensystem.eigenvalues)
+        for _, planes in _plane_blocks(grid, self.eigensystem.eigenvalues):
+            work = np.empty((3, 10, planes.shape[-1]))
+            mine = _pair_table(planes, backs[0], work[:2], _PAIR_LEVELS)
+            del planes  # one side's planes at a time
+            _, planes = next(their_planes)
+            theirs = _pair_table(planes, backs[1], work[1:], relabelled)
+            del planes
+            np.subtract(mine, theirs, out=mine)
+            worst = np.maximum(worst, np.abs(mine, out=mine).max())  # nan stays nan
+        return float(worst)
 
 
 def solve_frame(
@@ -471,5 +606,5 @@ def trace_via_spectral(
     together.
     """
     solution = solve_frame(model, drive, allow_nonresonant)
-    grid = _checked_grid(t_grid)
-    return PopulationTrace._of_checked(grid[0], solution._populations([c0], grid)[0])
+    blocks = solution._blocks([c0], _checked_grid(t_grid))
+    return PopulationTrace._of_checked(blocks.times, blocks.populations()[0])

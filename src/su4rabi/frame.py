@@ -25,7 +25,8 @@ Each model holds its path walk and its transitions' matrix positions once
 drive's part on Python floats, as a 4x4 frame is too small for array
 operations to pay: K, the energies and both kinds of detuning, then each
 of the frame's three arrays once.
-``check_time_independence`` takes its times through ``models.check_times``.
+``check_time_independence`` takes its times through ``models.check_times``
+and checks the drive's keys once, in ``models.hamiltonian_table``.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ import numpy as np
 from .errors import ConfigurationError
 from .models import (
     DriveParams,
+    HamiltonianTable,
     ModelConfig,
     Transition,
     check_times,
-    hamiltonian_t,
+    hamiltonian_table,
     to_row_order,
 )
 
@@ -78,6 +80,11 @@ class RotatingFrame:
 def frame_generator(model: ModelConfig, drive: DriveParams) -> np.ndarray:
     """The level-ordered frame generator (K1, K2, K3, K4), by the model's path walk."""
     drive.validate_for(model)
+    return _path_generator(model, drive)
+
+
+def _path_generator(model: ModelConfig, drive: DriveParams) -> np.ndarray:
+    """``frame_generator`` of a drive whose keys are already checked."""
     freq = drive.field_freq
     k = [0.0] * 4  # by row
     for known, new, tr, below in model.path_walk:
@@ -113,10 +120,15 @@ def transform_at(model: ModelConfig, drive: DriveParams, t, k_levels: np.ndarray
     Used to certify time independence of the constructed frame. An array of
     times gives one matrix per time, shape ``t.shape + (4, 4)``.
     """
+    return _transform(hamiltonian_table(model, drive), t, k_levels)
+
+
+def _transform(table: HamiltonianTable, t, k_levels: np.ndarray) -> np.ndarray:
+    """``transform_at`` on the generator table of a checked drive."""
     k_rows = to_row_order(np.asarray(k_levels, dtype=float))
     t = np.asarray(t, dtype=float)
     phase = np.exp(-1j * k_rows * t[..., None])
-    h_lab = hamiltonian_t(model, drive, t)
+    h_lab = table.matrices(t)
     return (np.diag(k_rows).astype(complex)
             + phase[..., :, None] * h_lab * phase.conj()[..., None, :])
 
@@ -128,14 +140,16 @@ def check_time_independence(
 
     With the solved generator the drift is rounding noise; passing a wrong
     ``k_levels`` leaves oscillating phases and a visible residual. All
-    sample times, at least two, go into one array call.
+    sample times, at least two, go into one array call, and the drive's
+    keys are checked once, by the generator table.
     """
     times, _ = check_times(sample_times)
     if len(times) < 2:
         raise ConfigurationError("need at least two sample times")
+    table = hamiltonian_table(model, drive)
     if k_levels is None:
-        k_levels = frame_generator(model, drive)
-    matrices = transform_at(model, drive, times, k_levels)
+        k_levels = _path_generator(model, drive)
+    matrices = _transform(table, times, k_levels)
     return float(np.abs(matrices[1:] - matrices[0]).max())
 
 

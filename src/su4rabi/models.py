@@ -16,8 +16,9 @@ classical field of frequency w_ab and a real non-negative coupling
 kappa_ab; within the rotating wave approximation the matrix element is
 kappa_ab * exp(-i w_ab t).
 
-Each input rule has one owner: ``row_of`` for a level (an integer 1..4) and
-``check_times`` for every set of times (a non-empty 1-d finite real array).
+Each input rule has one owner: ``row_of`` for a level (an integer 1..4),
+``check_times`` for every set of times (a non-empty 1-d finite real array)
+and ``check_increasing`` for the grid of a trace.
 """
 
 from __future__ import annotations
@@ -59,10 +60,24 @@ def check_times(times) -> tuple[np.ndarray, float]:
         raise ConfigurationError(f"time grid must hold real numbers ({exc})") from None
     if times.ndim != 1 or times.size < 1:
         raise ConfigurationError("time grid must be a non-empty 1-d array")
-    t_abs = float(np.abs(times).max())  # nan if any time is nan
-    if not math.isfinite(t_abs):
+    # two reductions, where max|t| would need a temporary of the grid's length
+    lo, hi = float(times.min()), float(times.max())  # nan if any time is nan
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigurationError(f"sample time {times[~np.isfinite(times)][0]} is not finite")
-    return times, t_abs
+    return times, max(abs(lo), abs(hi))
+
+
+# Times ``check_increasing`` compares at a time.
+_CHUNK = 65536
+
+
+def check_increasing(times: np.ndarray) -> None:
+    """ConfigurationError unless times that ``check_times`` passed strictly
+    increase; a chunk at a time, so a long grid needs no temporary of its length."""
+    for start in range(0, times.size - 1, _CHUNK):
+        chunk = times[start : start + _CHUNK + 1]
+        if not (chunk[1:] > chunk[:-1]).all():
+            raise ConfigurationError("time grid must be strictly increasing")
 
 
 def to_row_order(level_vec: np.ndarray) -> np.ndarray:
@@ -271,6 +286,15 @@ class HamiltonianTable:
             out = out.reshape(t.size, 64)
         return np.matmul(coeffs.T, self.blocks, out=out).reshape(t.shape + (8, 8))
 
+    def matrices(self, t) -> np.ndarray:
+        """H itself at each time, complex 4x4 in row order, shape
+        ``t.shape + (4, 4)``: the top row of blocks of ``sample``."""
+        samples = self.sample(t)
+        h = np.empty(samples.shape[:-2] + (4, 4), dtype=complex)
+        h.real = samples[..., :4, 4:]
+        h.imag = samples[..., :4, :4]
+        return h
+
 
 def hamiltonian_table(model: ModelConfig, drive: DriveParams) -> HamiltonianTable:
     """The generator table of ``model`` under ``drive``: the model's static
@@ -296,11 +320,7 @@ def hamiltonian_t(model: ModelConfig, drive: DriveParams, t) -> np.ndarray:
     An array of times gives one matrix per time, shape ``t.shape + (4, 4)``,
     read from the top row of the table's samples.
     """
-    samples = hamiltonian_table(model, drive).sample(t)
-    h = np.empty(samples.shape[:-2] + (4, 4), dtype=complex)
-    h.real = samples[..., :4, 4:]
-    h.imag = samples[..., :4, :4]
-    return h
+    return hamiltonian_table(model, drive).matrices(t)
 
 
 def hamiltonian_shift_form(
@@ -387,8 +407,7 @@ class PopulationTrace:
             raise ConfigurationError(
                 f"populations shape {pops.shape} does not match {times.size} times"
             )
-        if not (times[1:] > times[:-1]).all():  # a NaN time fails too
-            raise ConfigurationError("time grid must be strictly increasing")
+        check_increasing(times)
         times.setflags(write=False)
         pops.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -411,6 +430,7 @@ __all__ = [
     "TRANSITION_OF_LADDER",
     "Transition",
     "catalog",
+    "check_increasing",
     "check_times",
     "get_model",
     "hamiltonian_shift_form",

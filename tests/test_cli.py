@@ -12,6 +12,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -90,6 +91,24 @@ class TestWriteTraceCsv:
             t_max=30.0, steps=3001,
         )
         self.assert_matches_reference(tmp_path, run_trace(cfg), trace_metadata(cfg))
+
+    @pytest.mark.parametrize("rows", [20_001, 200_001])
+    def test_working_set_is_one_block(self, tmp_path, rows):
+        # a spectral trace is evaluated, formatted and written one block of
+        # about 4 096 rows at a time: beyond the grid's 8 B per row, 1.56 and
+        # 1.58 MB traced (NumPy 2.4.6), against 128 B per row when the whole
+        # trace was built before the first byte was written
+        cfg = RunConfig(model=ModelId.III, kappas={(4, 3): 0.24, (3, 2): 0.24, (2, 1): 0.24},
+                        steps=rows)
+        path = tmp_path / "long.csv"
+        write_trace_csv(str(path), run_trace(cfg), trace_metadata(cfg))
+        tracemalloc.start()
+        try:
+            write_trace_csv(str(path), run_trace(cfg), trace_metadata(cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * rows < 2e6
 
     def test_signed_zero_subnormals_and_rounding_carry(self, tmp_path):
         # 0.99999999999995 rounds up to the next decade: 1.000000000000e+00
@@ -360,6 +379,41 @@ class TestSimulate:
         ]) == 3
         assert "step size h = 25" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["1e154", "1e-160", "3.1622776601683794e-160"])
+    def test_rk4_scale_outside_its_window_exits_3(self, tmp_path, capsys, scale):
+        # a @ k in the RK4 stages is of order max|H|^2, whatever the step: at
+        # 1e154 it overflows, and at 1e-160 it underflows until the norm
+        # drifts (10^-159.5 marched on, 4.9e-7 off the spectral route). The
+        # drive is refused before the march, naming the scale, not the step
+        out = tmp_path / "scaled.csv"
+        t_max = repr(5.0 / float(scale))
+        argv = ["simulate", "--model", "III", "--method", "rk4", "--omega", scale, scale, scale,
+                "--kappa", f"21={scale}", f"32={scale}", f"43={scale}",
+                "--t-max", t_max, "--steps", "200", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"max|H| = {float(scale):.3e}" in err
+        assert "[1.492e-154, 1.676e+153]" in err
+        assert "step" not in err
+        assert not out.exists()
+        # the spectral route has no such window
+        assert main(argv[:3] + argv[5:]) == 0
+
+    @pytest.mark.parametrize("scale", [2.0**-511, 1e-153, 1e150, 2.0**509])
+    def test_rk4_scale_inside_its_window_matches_spectral(self, tmp_path, scale):
+        # at either edge of the window, RK4 stays as close to the spectral
+        # route as at scale 1 (1.32e-7 on this grid of h max|H| = 0.025)
+        rows = {}
+        for method in ("rk4", "spectral"):
+            out = tmp_path / f"{method}.csv"
+            argv = ["simulate", "--model", "III", "--method", method,
+                    "--omega", *[repr(scale)] * 3,
+                    "--kappa", *(f"{key}={scale!r}" for key in ("21", "32", "43")),
+                    "--t-max", repr(5.0 / scale), "--steps", "200", "--out", str(out)]
+            assert main(argv) == 0
+            rows[method] = read_csv(out)[2][:, 1:]
+        assert np.abs(rows["rk4"] - rows["spectral"]).max() < 1.4e-7
+
     def test_spectral_phase_overflow_exits_3(self, tmp_path, capsys):
         # max|eigenvalue| 1e308 over t up to 50: exp would see inf and nan
         # and write nan populations; the overflow is refused up front
@@ -479,6 +533,39 @@ class TestSimulate:
         assert main(["simulate", *argv, "--out", str(out)]) == 2
         assert "error: steps = 1000" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestChecksBeforeOpen:
+    """A spectral trace is evaluated as it is written, so every check that can
+    refuse a run must finish before the output file is opened."""
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--t-max", "5e-324", "--steps", "3"], 2),  # the grid: times not increasing
+        (["--t-max", "1e150", "--steps", "3"], 3),  # the phase budget
+        (["--method", "rk4", "--steps", "3"], 3),  # the RK4 drift
+        (["--method", "rk4", "--omega", "1e154", "1e154", "1e154", "--t-max", "5e-154",
+          "--steps", "200"], 3),  # the RK4 scale window
+    ])
+    def test_refused_run_leaves_the_file_as_it_was(self, tmp_path, capsys, flags, code):
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"an earlier trace\n")
+        argv = ["simulate", "--model", "I", "--kappa", "41=0.7", "32=0.24", "21=0.24",
+                *flags, "--out", str(out)]
+        assert main(argv) == code
+        assert "error:" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier trace\n"
+
+    def test_writes_through_a_symlink_and_to_dev_null(self, tmp_path, capsys):
+        argv = ["simulate", "--model", "I", "--kappa", "41=0.7", "--steps", "5001", "--out"]
+        target = tmp_path / "target.csv"
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(argv + [str(link)]) == 0
+        assert link.is_symlink()
+        assert main(argv + [str(tmp_path / "plain.csv")]) == 0
+        assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert main(argv + ["/dev/null"]) == 0
+        assert "wrote /dev/null (5001 rows, max norm error" in capsys.readouterr().out
 
 
 class TestFigure:

@@ -19,11 +19,13 @@ from su4rabi.dynamics import (
     _PHASE_TOL,
     _UNIT_ROUNDOFF,
     _TABLE_MIN_POINTS,
+    _anchored_planes,
     _checked_grid,
-    _phase_planes,
+    _offset_factors,
+    _pair_table,
+    _plane_blocks,
     _pointwise_planes,
     _rk4_step_matrices,
-    _table_planes,
     rk4_solve,
     rk4_solve_many,
     solve_frame,
@@ -64,6 +66,19 @@ def schrodinger_rhs(model, drive, t, amplitudes):
 
 def uniform_grid(t_max, n_points):
     return np.linspace(0.0, t_max, n_points)
+
+
+def _phase_planes(grid, eigenvalues):
+    """The (8, n) phase planes of a grid from ``_checked_grid``, its blocks side by side."""
+    return np.hstack([planes for _, planes in _plane_blocks(grid, eigenvalues)])
+
+
+def _table_planes(t_grid, eigenvalues):
+    """The angle addition table of a whole uniform grid as one product:
+    anchors t[::b] and offsets t[:b] - t[0], b = isqrt(n)."""
+    b = math.isqrt(t_grid.size)
+    right = _offset_factors(t_grid[:b] - t_grid[0], eigenvalues)
+    return _anchored_planes(t_grid[::b], right, eigenvalues, t_grid.size)
 
 
 def zero_coupling_drive(model):
@@ -849,7 +864,9 @@ class TestBasisPopulations:
         pairs = np.triu_indices(4)
         row = np.empty((4, 4), dtype=np.intp)
         row[pairs] = row[pairs[::-1]] = np.arange(10)
-        table_rows = solution._pair_table(_checked_grid(grid), np.empty((2, 10, grid.size)), pairs)
+        grid_check = _checked_grid(grid)
+        table_rows = _pair_table(_phase_planes(grid_check, lam), solution._back(grid_check),
+                                 np.empty((2, 10, grid.size)), pairs)
         for start, pops in enumerate(solution.populations(BASIS_STATES, grid)):
             assert pops.shape == (grid.size, 4)
             assert np.array_equal(table_rows[row[start]].T, pops)
@@ -1132,6 +1149,57 @@ class TestPhasePlanes:
             pops = solution.populations(states, grid)
             for a, p in zip(amps, pops):
                 assert np.array_equal(a.real**2 + a.imag**2, p)
+
+
+class TestBlockEvaluation:
+    """Every evaluation runs block by block; a grid of one block is the
+    single (k, 8, 8) @ (8, n) product of the whole grid's planes. Forced to
+    blocks of 2 b grid times, b = isqrt(n), each block's anchors, planes and
+    product must give the whole grid's bits: NumPy hands both to OpenBLAS,
+    whose matrix products give each column the same bits whatever the
+    column count, from two columns and two anchors up. (Past b = 707 the
+    table's bits can also depend on its anchor count, which no grid here
+    reaches.)"""
+
+    @pytest.mark.parametrize("points, table", [
+        (points, table) for table in (False, True) for points in (1, 7, 13, 321, 1001, 4097)
+        if points >= _TABLE_MIN_POINTS or not table  # shorter grids take per-value planes
+    ])
+    @pytest.mark.parametrize("states", [
+        [StateVector(np.array([0.6, 0.48j, 0.0, 0.64]))], BASIS_STATES,
+    ], ids=["k=1", "k=4"])
+    def test_blocks_give_the_whole_grid_bits(self, monkeypatch, points, table, states):
+        grid = uniform_grid(50.0, points) if table else np.geomspace(1.0, 50.0, points)
+        solution = solve_frame(MODEL_I, CHAIN_DRIVE)
+        lam = solution.eigensystem.eigenvalues
+        checked = _checked_grid(grid)
+        assert checked[2] == table
+        whole = (_table_planes if table else _pointwise_planes)(grid, lam)
+        parts = solution._mix(states, solution._back(checked)) @ whole
+        parts *= parts
+        expected = parts[:, :4] + parts[:, 4:]
+        monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 1)
+        b = math.isqrt(points)
+        starts = [start for start, _ in _plane_blocks(checked, lam)]
+        widths = np.diff(starts + [points])
+        assert all(start % b == 0 for start in starts)
+        assert len(starts) == 1 or widths.min() > b  # two anchors, two columns or more
+        assert len(starts) == max(1, (points - b - 1) // (2 * b) + 1)
+        for pops, want in zip(solution.populations(states, grid), expected):
+            assert np.array_equal(pops, want.T)
+        for start, block in solution.blocks(states, grid):
+            assert np.array_equal(block, expected[..., start : start + block.shape[1]].transpose(0, 2, 1))
+
+    def test_blocks_are_evaluated_as_they_are_read(self):
+        # the checks run when the blocks are made, the products only as each
+        # block is read: the first block of a long grid arrives before the
+        # others are evaluated
+        solution = solve_frame(MODEL_I, CHAIN_DRIVE)
+        with pytest.raises(NumericsError):
+            solution.blocks(BASIS_STATES, np.array([0.0, 1e17]))
+        blocks = solution.blocks(BASIS_STATES, uniform_grid(50.0, 100_001))
+        start, first = next(iter(blocks))
+        assert start == 0 and first.shape == (4, dynamics._block_rows(100_001), 4)
 
 
 class TestScalarReference:

@@ -235,6 +235,29 @@ class TestTimeIndependence:
         with pytest.raises(ConfigurationError):
             check_time_independence(get_model("I"), generic_drive(get_model("I")), (0.0,))
 
+    @pytest.mark.parametrize("own_generator", [False, True])
+    def test_checks_the_drive_once(self, monkeypatch, own_generator):
+        # the generator table checks the drive's keys and hands the checked
+        # drive on; neither the path walk nor the lab matrix checks them again
+        calls = []
+        validate = DriveParams.validate_for
+
+        def counted(drive, model):
+            calls.append(model.id)
+            return validate(drive, model)
+
+        m = get_model("IV")
+        drive = generic_drive(m)
+        k_levels = frame_generator(m, drive) if own_generator else None
+        expected = check_time_independence(m, drive, SAMPLE_TIMES, k_levels)
+        monkeypatch.setattr(DriveParams, "validate_for", counted)
+        assert check_time_independence(m, drive, SAMPLE_TIMES, k_levels) == expected
+        assert calls == [m.id]
+        bad = DriveParams(omega=drive.omega, field_freq=drive.field_freq,
+                          coupling={(4, 1): 0.3})
+        with pytest.raises(ConfigurationError, match="coupling keys do not match model IV"):
+            check_time_independence(m, bad, SAMPLE_TIMES, k_levels)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", [0, 1, 2])
     def test_refuses_non_finite_sample_time(self, bad, where):
