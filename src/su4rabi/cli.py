@@ -28,11 +28,12 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 import numpy as np
 
 from . import algebra
-from .dynamics import PopulationBlocks, rk4_solve, solve_frame
+from .dynamics import FrameSolution, rk4_solve, solve_frame
 from .errors import ConfigurationError, NumericsError
 from .frame import check_time_independence, resonant_drive, rotate
 from .models import (
@@ -239,22 +240,19 @@ class StreamedTrace:
     """One start state's spectral trace, evaluated a block of grid times at a time.
 
     It reads like a ``PopulationTrace``: ``times`` is the checked grid, and
-    ``populations`` evaluates every row at once. ``write_trace_csv`` instead
-    evaluates, formats and writes one block of ``blocks`` after another.
+    ``populations`` evaluates every row at once. ``blocks`` is the iterator
+    of ``FrameSolution.blocks``, made once every check has passed; one
+    ``write_trace_csv`` consumes it, one block after another.
     """
 
-    blocks: PopulationBlocks
-
-    def __post_init__(self) -> None:
-        check_increasing(self.blocks.times)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.blocks.times
+    times: np.ndarray
+    blocks: Iterator[tuple[int, np.ndarray]]
+    solution: FrameSolution
+    state: StateVector
 
     @property
     def populations(self) -> np.ndarray:
-        return self.blocks.populations()[0]
+        return self.solution.populations([self.state], self.times)[0]
 
 
 def run_trace(cfg: RunConfig, allow_nonresonant: bool = False) -> PopulationTrace | StreamedTrace:
@@ -272,7 +270,10 @@ def run_trace(cfg: RunConfig, allow_nonresonant: bool = False) -> PopulationTrac
     if cfg.method == "rk4":
         trace, _ = rk4_solve(model, drive, state, t_grid)
         return trace
-    return StreamedTrace(solve_frame(model, drive, allow_nonresonant).blocks([state], t_grid))
+    solution = solve_frame(model, drive, allow_nonresonant)
+    blocks = solution.blocks([state], t_grid)
+    check_increasing(t_grid)
+    return StreamedTrace(t_grid, blocks, solution, state)
 
 
 def trace_metadata(cfg: RunConfig) -> list[tuple[str, str]]:
@@ -468,38 +469,40 @@ def _format_csv_rows(block: np.ndarray) -> tuple[memoryview | bytes, int]:
     return b"".join(pieces), half.size + 5 * len(wide)
 
 
-def _write_header(fh, metadata: list[tuple[str, str]]) -> None:
-    head = "".join(f"# {key} = {value}\n" for key, value in metadata)
-    fh.write((head + "t,p1,p2,p3,p4\n").encode())
-
-
-def _write_rows(fh, times: np.ndarray, populations: np.ndarray) -> float:
-    """Write one block of rows, times and their (m, 4) populations; return
-    the block's largest deviation of a row's population sum from 1."""
-    norm_error = np.abs(1.0 - populations.sum(axis=1)).max()
-    fh.write(_format_csv_rows(np.column_stack((times, populations)))[0])
-    return norm_error
+def _write_csvs(paths: list[str], metadata: list[list[tuple[str, str]]], times: np.ndarray,
+                blocks: Iterator[tuple[int, np.ndarray]]) -> float:
+    """Write k traces as CSV, one block of rows at a time: file i takes the
+    header lines of ``metadata[i]``, then from each block, its first row and
+    (k, m, 4) populations, the m rows of times and the populations of trace
+    i. Returns the max norm error: the largest deviation of a row's
+    population sum from 1, a running maximum over the blocks (nan stays nan)."""
+    worst = np.float64(0.0)
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        for fh, meta in zip(files, metadata):
+            head = "".join(f"# {key} = {value}\n" for key, value in meta)
+            fh.write((head + "t,p1,p2,p3,p4\n").encode())
+        for start, pops in blocks:
+            rows = times[start : start + pops.shape[1]]
+            for fh, trace in zip(files, pops):
+                worst = np.maximum(worst, np.abs(1.0 - trace.sum(axis=1)).max())
+                fh.write(_format_csv_rows(np.column_stack((rows, trace)))[0])
+    return float(worst)
 
 
 def write_trace_csv(
     path: str, trace: PopulationTrace | StreamedTrace, metadata: list[tuple[str, str]]
 ) -> float:
     """Write a trace as CSV, one block of rows at a time, and return its max
-    norm error: the largest deviation of a row's population sum from 1,
-    kept as a running maximum over the blocks (a nan stays nan)."""
-    times = trace.times
+    norm error (see ``_write_csvs``). A spectral trace consumes its blocks;
+    an RK4 trace's populations go in as (1, m, 4) slices."""
     if isinstance(trace, StreamedTrace):
-        blocks = ((start, pops[0]) for start, pops in trace.blocks)
+        blocks = trace.blocks
     else:
-        blocks = ((start, trace.populations[start : start + _CSV_BLOCK])
-                  for start in range(0, times.size, _CSV_BLOCK))
-    worst = np.float64(0.0)
-    with open(path, "wb") as fh:
-        _write_header(fh, metadata)
-        for start, pops in blocks:
-            error = _write_rows(fh, times[start : start + len(pops)], pops)
-            worst = np.maximum(worst, error)
-    return float(worst)
+        pops = trace.populations
+        blocks = ((start, pops[None, start : start + _CSV_BLOCK])
+                  for start in range(0, pops.shape[0], _CSV_BLOCK))
+    return _write_csvs([path], [metadata], trace.times, blocks)
 
 
 # --- subcommands -----------------------------------------------------------
@@ -594,9 +597,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
     """Write the four standard traces of one figure, start levels 1..4.
 
     The frame is solved once and ``FrameSolution.blocks`` evaluates the
-    four basis starts together, block by block; each block is written to
-    all four files before the next is evaluated, so each trace is byte for
-    byte the CSV of ``simulate`` from that start level.
+    four basis starts together, block by block; ``_write_csvs``, the loop
+    of ``simulate``, writes each block to all four files before the next
+    is evaluated, so each trace is byte for byte the CSV of ``simulate``
+    from that start level.
     """
     if args.id not in FIGURE_MODELS:
         raise ConfigurationError(f"figure id {args.id} outside 7..12")
@@ -609,18 +613,11 @@ def cmd_figure(args: argparse.Namespace) -> int:
     starts = [StateVector.basis(level) for level in LEVELS]
     blocks = solve_frame(model, build_drive(cfg)).blocks(starts, t_grid)
     paths = [os.path.join(out_dir, f"fig{args.id}{CASE_SUFFIX[level]}.csv") for level in LEVELS]
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(path, "wb")) for path in paths]
-        for level, fh in zip(LEVELS, files):
-            meta = trace_metadata(replace(cfg, init=level))
-            if args.id == 10:
-                # the paper figure's label; the run itself is resonant
-                meta.append(("omega_field", "0.4 0.4 0.4"))
-            _write_header(fh, meta)
-        for start, pops in blocks:
-            times = t_grid[start : start + pops.shape[1]]
-            for fh, rows in zip(files, pops):
-                _write_rows(fh, times, rows)
+    metadata = [trace_metadata(replace(cfg, init=level)) for level in LEVELS]
+    if args.id == 10:
+        for meta in metadata:  # the paper figure's label; the run itself is resonant
+            meta.append(("omega_field", "0.4 0.4 0.4"))
+    _write_csvs(paths, metadata, t_grid, blocks)
     print(f"wrote {', '.join(paths)}")
     return 0
 

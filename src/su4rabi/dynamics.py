@@ -14,9 +14,9 @@ Both routes check their times once per call through
 resulting ``FrameSolution`` checks its grid once (``_checked_grid``,
 which also picks how the phase planes are formed) and evaluates it one
 block of about 4 096 grid times at a time (``_plane_blocks``), so its
-working set is one block's, whatever the grid's length. ``blocks`` hands
-the blocks out as they are evaluated, once every check has run, and
-``populations`` and ``amplitudes`` collect them. They take any initial
+working set is one block's, whatever the grid's length. ``blocks`` runs
+every check, then returns a generator that evaluates each block as it is
+read; ``populations`` and ``amplitudes`` fill whole arrays. They take any initial
 states, basis levels included: with w = T c(0) formed state by state,
 the parts [Re c; Im c] of all k states are one batched real
 (k, 8, 8) @ (8, m) product of a block's planes, and the populations are
@@ -78,7 +78,6 @@ from .spectral import EigenSystem, jacobi_eigh
 
 __all__ = [
     "FrameSolution",
-    "PopulationBlocks",
     "rk4_solve",
     "rk4_solve_many",
     "solve_frame",
@@ -411,51 +410,22 @@ def _pair_table(planes: np.ndarray, back: np.ndarray, out: np.ndarray, levels) -
     return out[0]
 
 
-@dataclass
-class PopulationBlocks:
-    """Level-ordered populations of k states on one checked grid, evaluated
-    one block of rows at a time.
-
-    ``FrameSolution.blocks`` makes it once every check that can refuse the
-    evaluation has passed. Each iteration evaluates the grid afresh and
-    yields, block by block, the first row and the (k, m, 4) populations:
-    the (k, 8, 8) @ (8, m) product of ``FrameSolution``'s mix with the
-    block's planes, squared and summed in place. Only one block's planes,
-    parts and populations are alive at a time, whatever the grid's length.
-    """
-
-    grid: tuple[np.ndarray, float, bool]
-    mix: np.ndarray
-    eigenvalues: np.ndarray
-
-    @property
-    def times(self) -> np.ndarray:
-        """The checked grid."""
-        return self.grid[0]
-
-    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
-        for start, pops in self._evaluate():
-            yield start, pops.transpose(0, 2, 1)
-
-    def _evaluate(self, out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
-        """Each block's first row and (k, 4, m) populations; with ``out``, a
-        (k, 4, n) array, they are written into its columns."""
-        mix = self.mix
-        for start, planes in _plane_blocks(self.grid, self.eigenvalues):
-            parts = mix @ planes
-            del planes  # each array goes as soon as it is spent
-            parts *= parts
-            dest = None if out is None else out[:, :, start : start + parts.shape[2]]
-            pops = np.add(parts[:, :4], parts[:, 4:], out=dest)
-            del parts
-            yield start, pops
-
-    def populations(self) -> np.ndarray:
-        """Every block at once: the (k, n, 4) populations."""
-        out = np.empty((len(self.mix), 4, self.grid[0].size))
-        for _ in self._evaluate(out):
-            pass
-        return out.transpose(0, 2, 1)
+def _population_blocks(
+    grid: tuple[np.ndarray, float, bool], mix: np.ndarray, eigenvalues: np.ndarray, out=None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Each block's first row and the (k, 4, m) populations of k states on a
+    grid from ``_checked_grid``: ``FrameSolution._mix`` times the block's
+    planes, squared and summed in place, and with ``out``, a (k, 4, n)
+    array, written into its columns. Only one block's planes, parts and
+    populations are alive at a time, whatever the grid's length."""
+    for start, planes in _plane_blocks(grid, eigenvalues):
+        parts = mix @ planes
+        del planes  # each array goes as soon as it is spent
+        parts *= parts
+        dest = None if out is None else out[:, :, start : start + parts.shape[2]]
+        pops = np.add(parts[:, :4], parts[:, 4:], out=dest)
+        del parts
+        yield start, pops
 
 
 @dataclass(frozen=True)
@@ -507,25 +477,32 @@ class FrameSolution:
         np.multiply(mix[:, 0, :, ::-1], _SWAP_SIGNS, out=mix[:, 1])
         return mix.reshape(-1, 8, 8)
 
-    def blocks(self, states: Iterable[StateVector], t_grid) -> PopulationBlocks:
+    def blocks(self, states: Iterable[StateVector], t_grid) -> Iterator[tuple[int, np.ndarray]]:
         """Level-ordered populations of each state, one block of grid times
-        at a time; see ``PopulationBlocks``. Every check of ``populations``
-        runs here, before the first block is evaluated."""
-        return self._blocks(states, _checked_grid(t_grid))
-
-    def _blocks(self, states: Iterable[StateVector], grid) -> PopulationBlocks:
-        """The ``blocks`` of k states on a grid from ``_checked_grid``."""
+        at a time: each block's first row and its (k, m, 4) populations.
+        Every check of ``populations`` runs here, before the first block is
+        evaluated; each block is evaluated only as it is read."""
+        grid = _checked_grid(t_grid)
         mix = self._mix(states, self._back(grid))
-        return PopulationBlocks(grid, mix, self.eigensystem.eigenvalues)
+        evaluated = _population_blocks(grid, mix, self.eigensystem.eigenvalues)
+        return ((start, pops.transpose(0, 2, 1)) for start, pops in evaluated)
 
     def populations(self, states: Iterable[StateVector], t_grid) -> list[np.ndarray]:
         """Level-ordered populations of each state, one row per grid time.
 
-        re^2 + im^2 of the frame amplitudes, from every block of
-        ``blocks``. A grid ``check_times`` refuses is a ConfigurationError,
-        phases past their accuracy a NumericsError.
+        re^2 + im^2 of the frame amplitudes, every block at once. A grid
+        ``check_times`` refuses is a ConfigurationError, phases past their
+        accuracy a NumericsError.
         """
-        return list(self.blocks(states, t_grid).populations())
+        return list(self._populations(states, _checked_grid(t_grid)))
+
+    def _populations(self, states: Iterable[StateVector], grid) -> np.ndarray:
+        """The (k, n, 4) populations of k states on a grid from ``_checked_grid``."""
+        mix = self._mix(states, self._back(grid))
+        out = np.empty((len(mix), 4, grid[0].size))
+        for _ in _population_blocks(grid, mix, self.eigensystem.eigenvalues, out):
+            pass
+        return out.transpose(0, 2, 1)
 
     def amplitudes(self, states: Iterable[StateVector], t_grid) -> list[np.ndarray]:
         """Level-ordered frame amplitudes of each state, one row per grid time.
@@ -606,5 +583,5 @@ def trace_via_spectral(
     together.
     """
     solution = solve_frame(model, drive, allow_nonresonant)
-    blocks = solution._blocks([c0], _checked_grid(t_grid))
-    return PopulationTrace._of_checked(blocks.times, blocks.populations()[0])
+    grid = _checked_grid(t_grid)
+    return PopulationTrace._of_checked(grid[0], solution._populations([c0], grid)[0])

@@ -107,15 +107,12 @@ class ModelConfig:
 
     ``path`` visits each level once; its neighbouring pairs are the allowed
     transitions. ``energy_coeffs[i]`` holds the coefficients of (w1, w2, w3)
-    in the energy of level i+1. ``diagonal_ops`` names the three diagonal
-    shift operators whose span contains the free Hamiltonian, in the order
-    paired with (w1, w2, w3) by the operator form.
+    in the energy of level i+1.
     """
 
     id: ModelId
     path: tuple[int, int, int, int]
     energy_coeffs: tuple[tuple[float, float, float], ...]
-    diagonal_ops: tuple[str, str, str]
 
     def __post_init__(self) -> None:
         if tuple(sorted(self.path)) != LEVELS:
@@ -143,6 +140,11 @@ class ModelConfig:
     def allowed(self) -> frozenset[Transition]:
         """The neighbouring level pairs of the path, upper level first."""
         return frozenset(self._sorted_transitions)
+
+    @cached_property
+    def diagonal_ops(self) -> tuple[str, ...]:
+        """Diagonal partners (T3..Z3) of the path's transitions; they span the free Hamiltonian."""
+        return tuple(LADDER_OF_TRANSITION[tr] + "3" for tr in self._sorted_transitions)
 
     @cached_property
     def transition_slots(self) -> tuple[tuple[Transition, int, int], ...]:
@@ -175,20 +177,13 @@ class ModelConfig:
 
 
 _CATALOG_DATA = [
-    # id, level path, energy coefficient rows for levels 1..4,
-    # diagonal operator triple paired with (w1, w2, w3)
-    ("I", (3, 2, 1, 4),
-     [(-1, -1, 0), (0, 1, -1), (0, 0, 1), (1, 0, 0)], ("W3", "Z3", "U3")),
-    ("II", (2, 1, 3, 4),
-     [(-1, 0, -1), (1, 0, 0), (0, -0.5, 1), (0, 0.5, 0)], ("Z3", "T3", "X3")),
-    ("III", (1, 2, 3, 4),
-     [(-1, 0, 0), (1, 0, -1), (0, -1, 1), (0, 1, 0)], ("Z3", "T3", "U3")),
-    ("IV", (2, 1, 4, 3),
-     [(-1, 0, -1), (1, 0, 0), (0, -0.5, 0), (0, 0.5, 1)], ("Z3", "T3", "W3")),
-    ("V", (1, 2, 4, 3),
-     [(-1, 0, 0), (1, 0, -1), (0, -1, 0), (0, 1, 1)], ("Z3", "T3", "V3")),
-    ("VI", (1, 4, 3, 2),
-     [(-1, 0, 0), (0, 0, -1), (0, -0.5, 1), (1, 0.5, 0)], ("W3", "T3", "U3")),
+    # id, level path, energy coefficient rows for levels 1..4
+    ("I", (3, 2, 1, 4), [(-1, -1, 0), (0, 1, -1), (0, 0, 1), (1, 0, 0)]),
+    ("II", (2, 1, 3, 4), [(-1, 0, -1), (1, 0, 0), (0, -0.5, 1), (0, 0.5, 0)]),
+    ("III", (1, 2, 3, 4), [(-1, 0, 0), (1, 0, -1), (0, -1, 1), (0, 1, 0)]),
+    ("IV", (2, 1, 4, 3), [(-1, 0, -1), (1, 0, 0), (0, -0.5, 0), (0, 0.5, 1)]),
+    ("V", (1, 2, 4, 3), [(-1, 0, 0), (1, 0, -1), (0, -1, 0), (0, 1, 1)]),
+    ("VI", (1, 4, 3, 2), [(-1, 0, 0), (0, 0, -1), (0, -0.5, 1), (1, 0.5, 0)]),
 ]
 
 _CATALOG = tuple(
@@ -196,15 +191,15 @@ _CATALOG = tuple(
         id=ModelId(mid),
         path=path,
         energy_coeffs=tuple(tuple(float(x) for x in row) for row in coeffs),
-        diagonal_ops=ops,
     )
-    for mid, path, coeffs, ops in _CATALOG_DATA
+    for mid, path, coeffs in _CATALOG_DATA
 )
 _BY_ID = {m.id: m for m in _CATALOG}
 
 
 def catalog() -> tuple[ModelConfig, ...]:
-    """All six configurations, in catalog order I..VI."""
+    """All six configurations, in catalog order I..VI: the level paths, read
+    either way, that hold at least two of the transitions 2-1, 3-2 and 4-3."""
     return _CATALOG
 
 

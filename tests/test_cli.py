@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from su4rabi import cli, dynamics, models, spectral, symmetry
+from su4rabi import cli, dynamics, frame, models, spectral, symmetry
 from su4rabi.cli import (
     _CSV_BLOCK,
     RunConfig,
@@ -68,11 +68,12 @@ class TestWriteTraceCsv:
         write_trace_csv(str(path), trace, metadata)
         assert path.read_bytes() == reference_csv_bytes(trace, metadata)
 
+    @pytest.mark.parametrize("method", ["spectral", "rk4"])
     @pytest.mark.parametrize("rows", [1, _CSV_BLOCK, _CSV_BLOCK + 1])
-    def test_block_boundaries(self, tmp_path, rows):
+    def test_block_boundaries(self, tmp_path, rows, method):
         cfg = RunConfig(
             model=ModelId.II, kappas={(4, 3): 0.24, (3, 1): 0.4, (2, 1): 0.24},
-            init=2, t_max=0.0 if rows == 1 else 20.0, steps=rows,
+            init=2, t_max=0.0 if rows == 1 else 20.0, steps=rows, method=method,
         )
         self.assert_matches_reference(tmp_path, run_trace(cfg), trace_metadata(cfg))
 
@@ -554,6 +555,29 @@ class TestChecksBeforeOpen:
         assert main(argv) == code
         assert "error:" in capsys.readouterr().err
         assert out.read_bytes() == b"an earlier trace\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "I", "--kappa", "41=0.7", "--t-max", "10", "--steps", "1001"],
+        ["simulate", "--model", "I", "--kappa", "41=0.7", "--t-max", "10", "--steps", "1001",
+         "--method", "rk4"],
+        ["figure", "7"],
+    ], ids=["simulate-spectral", "simulate-rk4", "figure"])
+    def test_every_command_checks_its_times_once(self, monkeypatch, tmp_path, capsys, argv):
+        # the checks run once, before the file is opened; the writer takes
+        # the checked grid and the blocks the checks made, not a fresh
+        # evaluation that would check the grid again
+        calls = []
+
+        def counted(times, check=models.check_times):
+            calls.append(times)
+            return check(times)
+
+        for module in (models, dynamics, frame):
+            monkeypatch.setattr(module, "check_times", counted)
+        out = ["--out", str(tmp_path / "t.csv")] if argv[0] == "simulate" else [
+            "--out-dir", str(tmp_path)]
+        assert main(argv + out) == 0
+        assert len(calls) == 1
 
     def test_writes_through_a_symlink_and_to_dev_null(self, tmp_path, capsys):
         argv = ["simulate", "--model", "I", "--kappa", "41=0.7", "--steps", "5001", "--out"]

@@ -99,7 +99,7 @@ EXPECTED_PATHS = {
 def model_with_path(path):
     m = get_model("I")
     return ModelConfig(
-        id=m.id, path=path, energy_coeffs=m.energy_coeffs, diagonal_ops=m.diagonal_ops)
+        id=m.id, path=path, energy_coeffs=m.energy_coeffs)
 
 
 class TestModelPath:

@@ -1,5 +1,8 @@
 """Configuration catalog, energies, and Hamiltonian construction."""
 
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,38 @@ EXPECTED_TRANSITIONS = {
     "V": {(4, 3), (4, 2), (2, 1)},
     "VI": {(4, 3), (4, 1), (3, 2)},
 }
+
+# the diagonal operators the catalog once listed by hand, one triple per model
+EXPECTED_DIAGONAL_OPS = {
+    "I": {"W3", "Z3", "U3"},
+    "II": {"Z3", "T3", "X3"},
+    "III": {"Z3", "T3", "U3"},
+    "IV": {"Z3", "T3", "W3"},
+    "V": {"Z3", "T3", "V3"},
+    "VI": {"W3", "T3", "U3"},
+}
+
+# the transitions between neighbouring levels
+NEAREST = {(2, 1), (3, 2), (4, 3)}
+
+
+def level_trees():
+    """Every set of three transitions that joins the four levels, with its
+    level path from the lower end, or None for a star."""
+    transitions = [(a, b) for a in range(2, 5) for b in range(1, a)]
+    for edges in itertools.combinations(transitions, 3):
+        degree = Counter(level for tr in edges for level in tr)
+        if len(degree) < 4:
+            continue  # a triangle: the fourth level is left out
+        if max(degree.values()) == 3:
+            yield set(edges), None
+            continue
+        path = [min(level for level, d in degree.items() if d == 1)]
+        while len(path) < 4:
+            path.append(next(b for tr in edges for a, b in (tr, tr[::-1])
+                             if a == path[-1] and b not in path))
+        yield set(edges), tuple(path)
+
 
 omega_triples = st.tuples(
     st.floats(-5, 5, allow_nan=False), st.floats(-5, 5, allow_nan=False),
@@ -63,6 +98,31 @@ class TestCatalog:
                         reached.update((a, b))
                         frontier = True
             assert reached == {1, 2, 3, 4}
+
+    def test_diagonal_ops_are_the_partners_of_the_path(self):
+        for m in catalog():
+            assert len(m.diagonal_ops) == 3
+            assert set(m.diagonal_ops) == EXPECTED_DIAGONAL_OPS[m.id.value]
+
+    def test_sixteen_trees_twelve_paths_four_stars(self):
+        trees = list(level_trees())
+        assert len(trees) == 16
+        assert sum(path is None for _, path in trees) == 4
+        assert len({path for _, path in trees if path}) == 12
+
+    def test_nearest_neighbour_rule_recovers_the_six_paths(self):
+        # the rule ``catalog`` states: a path that holds at least two of
+        # 2-1, 3-2 and 4-3; each of the other six paths holds at most one
+        chosen = {path for edges, path in level_trees()
+                  if path and len(edges & NEAREST) >= 2}
+        assert chosen == {min(m.path, m.path[::-1]) for m in catalog()}
+        assert all(len(t & NEAREST) >= 2 for t in EXPECTED_TRANSITIONS.values())
+
+    def test_stars_on_levels_2_and_3_also_hold_two(self):
+        # the stars that the rule alone would admit; the catalog has none
+        centres = {Counter(level for tr in edges for level in tr).most_common(1)[0][0]
+                   for edges, path in level_trees() if path is None and len(edges & NEAREST) >= 2}
+        assert centres == {2, 3}
 
     def test_get_model_roundtrip(self):
         assert get_model("IV").id is ModelId.IV
