@@ -28,12 +28,12 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
 from . import algebra
-from .dynamics import FrameSolution, rk4_solve, solve_frame
+from .dynamics import rk4_solve, solve_frame
 from .errors import ConfigurationError, NumericsError
 from .frame import check_time_independence, resonant_drive, rotate
 from .models import (
@@ -240,19 +240,17 @@ class StreamedTrace:
     """One start state's spectral trace, evaluated a block of grid times at a time.
 
     It reads like a ``PopulationTrace``: ``times`` is the checked grid, and
-    ``populations`` evaluates every row at once. ``blocks`` is the iterator
-    of ``FrameSolution.blocks``, made once every check has passed; one
-    ``write_trace_csv`` consumes it, one block after another.
+    ``populations`` evaluates every row at once. ``blocks`` is the list of
+    ``FrameSolution.blocks``, made once every check has passed, which each
+    ``write_trace_csv`` evaluates afresh: a trace writes any number of times.
     """
 
     times: np.ndarray
-    blocks: Iterator[tuple[int, np.ndarray]]
-    solution: FrameSolution
-    state: StateVector
+    blocks: list[tuple[int, Callable[[], np.ndarray]]]
 
     @property
     def populations(self) -> np.ndarray:
-        return self.solution.populations([self.state], self.times)[0]
+        return np.concatenate([evaluate()[0] for _, evaluate in self.blocks])
 
 
 def run_trace(cfg: RunConfig, allow_nonresonant: bool = False) -> PopulationTrace | StreamedTrace:
@@ -270,10 +268,9 @@ def run_trace(cfg: RunConfig, allow_nonresonant: bool = False) -> PopulationTrac
     if cfg.method == "rk4":
         trace, _ = rk4_solve(model, drive, state, t_grid)
         return trace
-    solution = solve_frame(model, drive, allow_nonresonant)
-    blocks = solution.blocks([state], t_grid)
+    blocks = solve_frame(model, drive, allow_nonresonant).blocks([state], t_grid)
     check_increasing(t_grid)
-    return StreamedTrace(t_grid, blocks, solution, state)
+    return StreamedTrace(t_grid, blocks)
 
 
 def trace_metadata(cfg: RunConfig) -> list[tuple[str, str]]:
@@ -470,19 +467,20 @@ def _format_csv_rows(block: np.ndarray) -> tuple[memoryview | bytes, int]:
 
 
 def _write_csvs(paths: list[str], metadata: list[list[tuple[str, str]]], times: np.ndarray,
-                blocks: Iterator[tuple[int, np.ndarray]]) -> float:
+                blocks: list[tuple[int, Callable[[], np.ndarray]]]) -> float:
     """Write k traces as CSV, one block of rows at a time: file i takes the
-    header lines of ``metadata[i]``, then from each block, its first row and
-    (k, m, 4) populations, the m rows of times and the populations of trace
-    i. Returns the max norm error: the largest deviation of a row's
-    population sum from 1, a running maximum over the blocks (nan stays nan)."""
+    header lines of ``metadata[i]``, then for each block, its first row and
+    a function of its (k, m, 4) populations, the m rows of times and trace
+    i's populations. Returns the max norm error: the largest deviation of a
+    row's population sum from 1, a running maximum over the blocks (nan stays nan)."""
     worst = np.float64(0.0)
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(path, "wb")) for path in paths]
         for fh, meta in zip(files, metadata):
             head = "".join(f"# {key} = {value}\n" for key, value in meta)
             fh.write((head + "t,p1,p2,p3,p4\n").encode())
-        for start, pops in blocks:
+        for start, evaluate in blocks:
+            pops = evaluate()
             rows = times[start : start + pops.shape[1]]
             for fh, trace in zip(files, pops):
                 worst = np.maximum(worst, np.abs(1.0 - trace.sum(axis=1)).max())
@@ -494,14 +492,14 @@ def write_trace_csv(
     path: str, trace: PopulationTrace | StreamedTrace, metadata: list[tuple[str, str]]
 ) -> float:
     """Write a trace as CSV, one block of rows at a time, and return its max
-    norm error (see ``_write_csvs``). A spectral trace consumes its blocks;
+    norm error (see ``_write_csvs``). A spectral trace evaluates its blocks;
     an RK4 trace's populations go in as (1, m, 4) slices."""
     if isinstance(trace, StreamedTrace):
         blocks = trace.blocks
     else:
-        pops = trace.populations
-        blocks = ((start, pops[None, start : start + _CSV_BLOCK])
-                  for start in range(0, pops.shape[0], _CSV_BLOCK))
+        pops = trace.populations[None]
+        blocks = [(start, lambda start=start: pops[:, start : start + _CSV_BLOCK])
+                  for start in range(0, pops.shape[1], _CSV_BLOCK)]
     return _write_csvs([path], [metadata], trace.times, blocks)
 
 

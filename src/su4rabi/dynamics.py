@@ -10,32 +10,29 @@ whole package.
 
 Both routes check their times once per call through
 ``models.check_times``. ``solve_frame`` builds the rotating frame of one
-(model, drive) pair and diagonalizes it once; each method of the
+(model, drive) pair and diagonalizes it once. Each method of the
 resulting ``FrameSolution`` checks its grid once (``_checked_grid``,
-which also picks how the phase planes are formed) and evaluates it one
-block of about 4 096 grid times at a time (``_plane_blocks``), so its
-working set is one block's, whatever the grid's length. ``blocks`` runs
-every check, then returns a generator that evaluates each block as it is
-read; ``populations`` and ``amplitudes`` fill whole arrays. They take any initial
-states, basis levels included: with w = T c(0) formed state by state,
-the parts [Re c; Im c] of all k states are one batched real
-(k, 8, 8) @ (8, m) product of a block's planes, and the populations are
-re^2 + im^2. The frame matrix is real symmetric, so the propagator
-U(t) = T.T exp(-i L t) T is complex symmetric and the populations are
-reciprocal, P_{i<-j}(t) = P_{j<-i}(t); the ten pairs i <= j hold all
-sixteen of the basis starts. The pair kernel serves only
-``max_population_gap``, which compares the pair tables of two solutions
-under a relabelling of the levels: it writes their cos and sin parts,
-products of two rows of T.T against a block's planes, into a (2, 10, m)
-block with one batched (10, 4) @ (2, 4, m) product and squares and sums
-them in place, both tables inside one workspace per block.
-``trace_via_spectral`` is the one-state shorthand, and its trace takes
-the checked grid. Short or non-uniform grids take one cos and one sin
-per value; long uniform ones take an angle-addition table. The table
-adds at most 9u max|L| max|t| (u = 2^-53) to the phases, measured 2.8u
-on the figure grids and 5.3u on grids crossing zero: below the
-eigenvalues' own backward error (7.9u max|L| for the Jacobi solver),
-which the phase budget u max|L| max|t| <= 1e-6 covers.
+which also picks how the phase planes are formed) and reads one list of
+blocks of about 4 096 grid times (``_plane_blocks``). A block forms its
+planes only when asked, so the working set is one block's, whatever the
+grid's length. ``blocks`` returns that list with a function per block
+that evaluates its populations afresh at every call, so the list reads
+any number of times; ``populations`` and ``amplitudes`` fill whole
+arrays. They take any initial states: with w = T c(0), each state's
+parts [Re c; Im c] are one real (8, 8) @ (8, m) product of a block's
+planes, and its populations re^2 + im^2. The frame matrix is real
+symmetric, so U(t) = T.T exp(-i L t) T is complex symmetric and the
+populations are reciprocal, P_{i<-j}(t) = P_{j<-i}(t): the ten pairs
+i <= j hold all sixteen basis starts. ``max_population_gap`` compares
+the pair tables of two solutions under a relabelling of the levels, one
+batched (10, 4) @ (2, 4, m) product per side and block, both tables in
+one workspace. ``trace_via_spectral`` is the one-state shorthand. Short
+or non-uniform grids take one cos and one sin per value; long uniform
+ones take an angle-addition table, which adds at most 9u max|L| max|t|
+(u = 2^-53) to the phases, measured 2.8u on the figure grids and 5.3u
+on grids crossing zero: below the eigenvalues' own backward error
+(7.9u max|L| for the Jacobi solver), which the phase budget
+u max|L| max|t| <= 1e-6 covers.
 
 The RK4 route runs in real arithmetic: a complex 4-vector x + i y is the
 real 8-vector [x; y], on which -i H acts as [[Im H, Re H], [-Re H, Im H]].
@@ -55,9 +52,10 @@ stay normal floats is refused before the march (``_RK4_SCALE_WINDOW``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -272,7 +270,7 @@ _PHASE_TOL = 1e-6
 # 38 us).
 _TABLE_MIN_POINTS = 320
 # Grid times the spectral kernels evaluate at a time, rounded by
-# ``_block_rows``; bounds their working set on long grids.
+# ``_plane_blocks``; bounds their working set on long grids.
 _BLOCK_ROWS = 4096
 
 
@@ -311,14 +309,6 @@ def _checked_grid(t_grid) -> tuple[np.ndarray, float, bool]:
     return times, t_abs, True
 
 
-def _block_rows(n: int) -> int:
-    """Rows per evaluation block on an n-point grid: the largest multiple of
-    b = isqrt(n) up to ``_BLOCK_ROWS``, and at least 2 b, so that every
-    block starts at an anchor of the phase table and spans two or more."""
-    b = math.isqrt(n)
-    return b * max(2, _BLOCK_ROWS // b)
-
-
 def _offset_factors(offsets: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     """The right factors [[cos D, sin D], [-sin D, cos D]] of the angle
     addition table at the offsets D = L (t[i] - t[0]), the cos plane's
@@ -349,15 +339,18 @@ def _anchored_planes(
 
 def _plane_blocks(
     grid: tuple[np.ndarray, float, bool], eigenvalues: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """cos(L t) in rows 0-3 and sin(L t) in rows 4-7 on a grid from
-    ``_checked_grid``, one block of ``_block_rows(n)`` times at a time,
-    each with its first row: by an angle addition table where it serves
-    the grid, by one cos and one sin per value elsewhere.
+) -> list[tuple[int, Callable[[], np.ndarray]]]:
+    """The blocks of an n-point grid from ``_checked_grid``: each block's
+    first row and a function that forms its planes, cos(L t) in rows 0-3
+    and sin(L t) in rows 4-7, at each call: by an angle addition table
+    where it serves the grid, by one cos and one sin per value elsewhere.
+    A block holds the largest multiple of b = isqrt(n) up to
+    ``_BLOCK_ROWS`` times, and at least 2 b, so that every block starts
+    at an anchor of the table and spans two or more.
 
-    The table holds a uniform grid. With b = isqrt(n), time j b + i is the
-    anchor t[j b] plus the offset t[i] - t[0]; cos and sin are taken only
-    at the sqrt(n) anchors and offsets, and one batched product
+    The table holds a uniform grid. Time j b + i is the anchor t[j b]
+    plus the offset t[i] - t[0]; cos and sin are taken only at the
+    sqrt(n) anchors and offsets, and one batched product
     [cos A, sin A] @ [[cos D, sin D], [-sin D, cos D]] gives cos(A + D),
     sin(A + D) at every time. A block takes its own anchors t[s::b] and
     the whole grid's offsets, so a grid of one block is one such product,
@@ -368,20 +361,20 @@ def _plane_blocks(
     """
     t_grid, _, table = grid
     n = t_grid.size
-    rows, b = _block_rows(n), math.isqrt(n)
-    if table:
-        right = _offset_factors(t_grid[:b] - t_grid[0], eigenvalues)
-    start = 0
-    while start < n:
-        # the last b times or fewer join the block before them: on one anchor
-        # or one column NumPy would take a matrix-vector product, whose bits
-        # differ from the matrix product's
-        stop = n if start + rows + b >= n else start + rows
-        if table:
-            yield start, _anchored_planes(t_grid[start:stop:b], right, eigenvalues, stop - start)
-        else:
-            yield start, _pointwise_planes(t_grid[start:stop], eigenvalues)
-        start = stop
+    b = math.isqrt(n)
+    rows = b * max(2, _BLOCK_ROWS // b)
+    # the last b times or fewer join the block before them: on one anchor
+    # or one column NumPy would take a matrix-vector product, whose bits
+    # differ from the matrix product's
+    starts = range(0, max(n - b, 1), rows)
+    bounds = zip(starts, [*starts[1:], n])
+    if not table:
+        return [(start, functools.partial(_pointwise_planes, t_grid[start:stop], eigenvalues))
+                for start, stop in bounds]
+    right = _offset_factors(t_grid[:b] - t_grid[0], eigenvalues)
+    return [(start, functools.partial(
+        _anchored_planes, t_grid[start:stop:b], right, eigenvalues, stop - start))
+        for start, stop in bounds]
 
 
 # [x, y] -> [y, -x], exactly: the lower half of ``_mix``' matrices from their upper half
@@ -410,22 +403,22 @@ def _pair_table(planes: np.ndarray, back: np.ndarray, out: np.ndarray, levels) -
     return out[0]
 
 
-def _population_blocks(
-    grid: tuple[np.ndarray, float, bool], mix: np.ndarray, eigenvalues: np.ndarray, out=None
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Each block's first row and the (k, 4, m) populations of k states on a
-    grid from ``_checked_grid``: ``FrameSolution._mix`` times the block's
-    planes, squared and summed in place, and with ``out``, a (k, 4, n)
-    array, written into its columns. Only one block's planes, parts and
-    populations are alive at a time, whatever the grid's length."""
-    for start, planes in _plane_blocks(grid, eigenvalues):
-        parts = mix @ planes
-        del planes  # each array goes as soon as it is spent
-        parts *= parts
-        dest = None if out is None else out[:, :, start : start + parts.shape[2]]
-        pops = np.add(parts[:, :4], parts[:, 4:], out=dest)
-        del parts
-        yield start, pops
+def _parts(mixes: list[np.ndarray], planes: np.ndarray) -> np.ndarray:
+    """The (k, 8, m) parts [Re c; Im c] of k states on one block of planes:
+    one (8, 8) @ (8, m) product of each state's ``FrameSolution._mix``."""
+    parts = np.empty((len(mixes), 8, planes.shape[1]))
+    for mix, out in zip(mixes, parts):
+        np.matmul(mix, planes, out=out)
+    return parts
+
+
+def _block_populations(mixes: list[np.ndarray], planes: Callable[[], np.ndarray]) -> np.ndarray:
+    """The (k, m, 4) populations of k states on one block of m grid times:
+    the ``_parts`` of the planes formed here, squared and summed in place."""
+    parts = _parts(mixes, planes())
+    parts *= parts
+    parts[:, :4] += parts[:, 4:]
+    return parts[:, :4].transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -460,32 +453,35 @@ class FrameSolution:
             )
         return self.eigensystem.diagonalizer.T[::-1]
 
-    def _mix(self, states: Iterable[StateVector], back: np.ndarray) -> np.ndarray:
-        """The (k, 8, 8) matrices that take the planes to [Re c; Im c], the
-        parts of the level-ordered frame amplitudes c of k states.
+    def _mix(self, states: Iterable[StateVector], back: np.ndarray) -> list[np.ndarray]:
+        """One (8, 8) matrix per state that takes the planes to [Re c; Im c],
+        the parts of the state's level-ordered frame amplitudes c.
 
-        With w = T c(0) = a + i b, one product per state, exp(-i L t) w has
-        the real part a cos + b sin and the imaginary part b cos - a sin:
-        T.T times [[a, b], [b, -a]], whose lower half is the upper one's
-        exact swap.
+        With w = T c(0) = a + i b, exp(-i L t) w has the real part
+        a cos + b sin and the imaginary part b cos - a sin: T.T times
+        [[a, b], [b, -a]], whose lower half is the upper one's exact swap.
         """
         t_mat = self.eigensystem.diagonalizer
-        w = np.array([t_mat @ to_row_order(c0.amplitudes) for c0 in states])
-        ab = w.view(float).reshape(-1, 1, 4, 2).transpose(0, 1, 3, 2)  # [a, b] per state
-        mix = np.empty((len(w), 2, 4, 2, 4))  # [[back a, back b], [back b, -back a]]
-        np.multiply(back[:, None], ab, out=mix[:, 0])
-        np.multiply(mix[:, 0, :, ::-1], _SWAP_SIGNS, out=mix[:, 1])
-        return mix.reshape(-1, 8, 8)
+        mixes = []
+        for c0 in states:
+            w = t_mat @ to_row_order(c0.amplitudes)
+            mix = np.empty((2, 4, 2, 4))  # [[back a, back b], [back b, -back a]]
+            np.multiply(back[:, None], w.view(float).reshape(4, 2).T, out=mix[0])
+            np.multiply(mix[0, :, ::-1], _SWAP_SIGNS, out=mix[1])
+            mixes.append(mix.reshape(8, 8))
+        return mixes
 
-    def blocks(self, states: Iterable[StateVector], t_grid) -> Iterator[tuple[int, np.ndarray]]:
+    def blocks(
+        self, states: Iterable[StateVector], t_grid
+    ) -> list[tuple[int, Callable[[], np.ndarray]]]:
         """Level-ordered populations of each state, one block of grid times
-        at a time: each block's first row and its (k, m, 4) populations.
-        Every check of ``populations`` runs here, before the first block is
-        evaluated; each block is evaluated only as it is read."""
+        at a time: a list of each block's first row and a function that
+        evaluates its (k, m, 4) populations afresh at every call. Every
+        check of ``populations`` runs here, once."""
         grid = _checked_grid(t_grid)
-        mix = self._mix(states, self._back(grid))
-        evaluated = _population_blocks(grid, mix, self.eigensystem.eigenvalues)
-        return ((start, pops.transpose(0, 2, 1)) for start, pops in evaluated)
+        mixes = self._mix(states, self._back(grid))
+        return [(start, functools.partial(_block_populations, mixes, planes))
+                for start, planes in _plane_blocks(grid, self.eigensystem.eigenvalues)]
 
     def populations(self, states: Iterable[StateVector], t_grid) -> list[np.ndarray]:
         """Level-ordered populations of each state, one row per grid time.
@@ -498,11 +494,12 @@ class FrameSolution:
 
     def _populations(self, states: Iterable[StateVector], grid) -> np.ndarray:
         """The (k, n, 4) populations of k states on a grid from ``_checked_grid``."""
-        mix = self._mix(states, self._back(grid))
-        out = np.empty((len(mix), 4, grid[0].size))
-        for _ in _population_blocks(grid, mix, self.eigensystem.eigenvalues, out):
-            pass
-        return out.transpose(0, 2, 1)
+        mixes = self._mix(states, self._back(grid))
+        out = np.empty((len(mixes), 4, grid[0].size)).transpose(0, 2, 1)
+        for start, planes in _plane_blocks(grid, self.eigensystem.eigenvalues):
+            pops = _block_populations(mixes, planes)
+            out[:, start : start + pops.shape[1]] = pops
+        return out
 
     def amplitudes(self, states: Iterable[StateVector], t_grid) -> list[np.ndarray]:
         """Level-ordered frame amplitudes of each state, one row per grid time.
@@ -510,10 +507,10 @@ class FrameSolution:
         re + i im from the planes and mix of ``populations``.
         """
         grid = _checked_grid(t_grid)
-        mix = self._mix(states, self._back(grid))
-        out = np.empty((len(mix), 4, grid[0].size), dtype=complex)
+        mixes = self._mix(states, self._back(grid))
+        out = np.empty((len(mixes), 4, grid[0].size), dtype=complex)
         for start, planes in _plane_blocks(grid, self.eigensystem.eigenvalues):
-            parts = mix @ planes
+            parts = _parts(mixes, planes())
             out[..., start : start + parts.shape[-1]] = parts[:, :4] + 1j * parts[:, 4:]
         return list(out.transpose(0, 2, 1))
 
@@ -537,14 +534,14 @@ class FrameSolution:
         grid = _checked_grid(t_grid)
         backs = self._back(grid), other._back(grid)
         worst = np.float64(0.0)
-        their_planes = _plane_blocks(grid, other.eigensystem.eigenvalues)
-        for _, planes in _plane_blocks(grid, self.eigensystem.eigenvalues):
+        both = zip(_plane_blocks(grid, self.eigensystem.eigenvalues),
+                   _plane_blocks(grid, other.eigensystem.eigenvalues))
+        for (_, my_planes), (_, their_planes) in both:
+            planes = my_planes()
             work = np.empty((3, 10, planes.shape[-1]))
             mine = _pair_table(planes, backs[0], work[:2], _PAIR_LEVELS)
             del planes  # one side's planes at a time
-            _, planes = next(their_planes)
-            theirs = _pair_table(planes, backs[1], work[1:], relabelled)
-            del planes
+            theirs = _pair_table(their_planes(), backs[1], work[1:], relabelled)
             np.subtract(mine, theirs, out=mine)
             worst = np.maximum(worst, np.abs(mine, out=mine).max())  # nan stays nan
         return float(worst)

@@ -93,6 +93,19 @@ class TestWriteTraceCsv:
         )
         self.assert_matches_reference(tmp_path, run_trace(cfg), trace_metadata(cfg))
 
+    def test_a_spectral_trace_writes_twice(self, tmp_path):
+        # the trace holds its list of blocks, not a one-pass stream: a second
+        # write of the same trace evaluates every block again, so both files
+        # hold every row and report the same max norm error
+        cfg = RunConfig(model=ModelId.I, kappas={(4, 1): 0.7, (3, 2): 0.24, (2, 1): 0.24},
+                        steps=20_001)
+        trace, metadata = run_trace(cfg), trace_metadata(cfg)
+        paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+        errors = [write_trace_csv(str(path), trace, metadata) for path in paths]
+        assert paths[1].read_bytes() == paths[0].read_bytes() == reference_csv_bytes(trace, metadata)
+        assert errors[1] == errors[0] > 0.0
+        assert len(trace.blocks) > 1
+
     @pytest.mark.parametrize("rows", [20_001, 200_001])
     def test_working_set_is_one_block(self, tmp_path, rows):
         # a spectral trace is evaluated, formatted and written one block of

@@ -52,6 +52,11 @@ CHAIN_COUPLINGS = {(4, 1): 0.7, (3, 2): 0.24, (2, 1): 0.24}
 MODEL_I = get_model("I")
 CHAIN_DRIVE = resonant_drive(MODEL_I, OMEGA, CHAIN_COUPLINGS)
 BASIS_STATES = [StateVector.basis(level) for level in (1, 2, 3, 4)]
+SUPERPOSITIONS = [
+    StateVector(np.array([0.6, 0.48j, 0.0, 0.64])),
+    StateVector(np.array([0.5, -0.5j, 0.5, 0.5j])),
+    StateVector(np.array([0.0, 0.8, 0.0, -0.6j])),
+]
 
 
 def schrodinger_rhs(model, drive, t, amplitudes):
@@ -69,8 +74,8 @@ def uniform_grid(t_max, n_points):
 
 
 def _phase_planes(grid, eigenvalues):
-    """The (8, n) phase planes of a grid from ``_checked_grid``, its blocks side by side."""
-    return np.hstack([planes for _, planes in _plane_blocks(grid, eigenvalues)])
+    """The (8, n) phase planes of a grid from ``_checked_grid``, its blocks formed side by side."""
+    return np.hstack([planes() for _, planes in _plane_blocks(grid, eigenvalues)])
 
 
 def _table_planes(t_grid, eigenvalues):
@@ -1152,54 +1157,84 @@ class TestPhasePlanes:
 
 
 class TestBlockEvaluation:
-    """Every evaluation runs block by block; a grid of one block is the
-    single (k, 8, 8) @ (8, n) product of the whole grid's planes. Forced to
-    blocks of 2 b grid times, b = isqrt(n), each block's anchors, planes and
-    product must give the whole grid's bits: NumPy hands both to OpenBLAS,
-    whose matrix products give each column the same bits whatever the
-    column count, from two columns and two anchors up. (Past b = 707 the
-    table's bits can also depend on its anchor count, which no grid here
+    """Every evaluation runs block by block, one (8, 8) @ (8, m) product
+    per state and block, and a grid of one block is the whole grid's
+    planes. Each state's product must give the bits of the batched
+    (k, 8, 8) @ (8, n) product of the whole grid's planes, on one block
+    and forced to blocks of 2 b grid times, b = isqrt(n), each with its own
+    anchors and planes: NumPy hands both to OpenBLAS, whose matrix products
+    give each column the same bits whatever the column count and the batch
+    size, from two columns and two anchors up. (Past b = 707 the table's
+    bits can also depend on its anchor count, which no grid here
     reaches.)"""
 
+    @pytest.mark.parametrize("block_rows", [dynamics._BLOCK_ROWS, 1], ids=["one", "2b"])
     @pytest.mark.parametrize("points, table", [
         (points, table) for table in (False, True) for points in (1, 7, 13, 321, 1001, 4097)
         if points >= _TABLE_MIN_POINTS or not table  # shorter grids take per-value planes
     ])
     @pytest.mark.parametrize("states", [
-        [StateVector(np.array([0.6, 0.48j, 0.0, 0.64]))], BASIS_STATES,
-    ], ids=["k=1", "k=4"])
-    def test_blocks_give_the_whole_grid_bits(self, monkeypatch, points, table, states):
+        SUPERPOSITIONS[:1], BASIS_STATES, BASIS_STATES + SUPERPOSITIONS,
+    ], ids=["k=1", "k=4", "k=7"])
+    def test_blocks_give_the_whole_grid_bits(self, monkeypatch, points, table, states, block_rows):
         grid = uniform_grid(50.0, points) if table else np.geomspace(1.0, 50.0, points)
         solution = solve_frame(MODEL_I, CHAIN_DRIVE)
         lam = solution.eigensystem.eigenvalues
         checked = _checked_grid(grid)
         assert checked[2] == table
         whole = (_table_planes if table else _pointwise_planes)(grid, lam)
-        parts = solution._mix(states, solution._back(checked)) @ whole
+        mixes = np.stack(solution._mix(states, solution._back(checked)))
+        parts = mixes @ whole
         parts *= parts
-        expected = parts[:, :4] + parts[:, 4:]
-        monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 1)
+        expected = (parts[:, :4] + parts[:, 4:]).transpose(0, 2, 1)
+        monkeypatch.setattr(dynamics, "_BLOCK_ROWS", block_rows)
         b = math.isqrt(points)
-        starts = [start for start, _ in _plane_blocks(checked, lam)]
+        blocks = solution.blocks(states, grid)
+        starts = [start for start, _ in blocks]
         widths = np.diff(starts + [points])
         assert all(start % b == 0 for start in starts)
         assert len(starts) == 1 or widths.min() > b  # two anchors, two columns or more
-        assert len(starts) == max(1, (points - b - 1) // (2 * b) + 1)
+        assert len(starts) == (max(1, (points - b - 1) // (2 * b) + 1) if block_rows == 1 else 1)
         for pops, want in zip(solution.populations(states, grid), expected):
-            assert np.array_equal(pops, want.T)
-        for start, block in solution.blocks(states, grid):
-            assert np.array_equal(block, expected[..., start : start + block.shape[1]].transpose(0, 2, 1))
+            assert np.array_equal(pops, want)
+        for (start, evaluate), (_, planes) in zip(blocks, _plane_blocks(checked, lam)):
+            block = evaluate()
+            assert np.array_equal(block, expected[:, start : start + block.shape[1]])
+            planes = planes()  # a strided view of the table's product on a short last block
+            for mix, batched in zip(mixes, mixes @ planes):
+                assert np.array_equal(mix @ planes, batched)
 
-    def test_blocks_are_evaluated_as_they_are_read(self):
-        # the checks run when the blocks are made, the products only as each
-        # block is read: the first block of a long grid arrives before the
-        # others are evaluated
+    def test_blocks_are_evaluated_as_they_are_read(self, monkeypatch):
+        # the checks run once, when the list is made; a block's planes and
+        # products only when its function is called, and afresh at every
+        # call, so the list reads twice with the same bits
         solution = solve_frame(MODEL_I, CHAIN_DRIVE)
         with pytest.raises(NumericsError):
             solution.blocks(BASIS_STATES, np.array([0.0, 1e17]))
-        blocks = solution.blocks(BASIS_STATES, uniform_grid(50.0, 100_001))
-        start, first = next(iter(blocks))
-        assert start == 0 and first.shape == (4, dynamics._block_rows(100_001), 4)
+        checks, formed = [], []
+
+        def counted(times, check=models.check_times):
+            checks.append(times)
+            return check(times)
+
+        def forming(*args, form=dynamics._anchored_planes):
+            formed.append(args[-1])
+            return form(*args)
+
+        monkeypatch.setattr(dynamics, "check_times", counted)
+        monkeypatch.setattr(dynamics, "_anchored_planes", forming)
+        grid = uniform_grid(50.0, 100_001)
+        blocks = solution.blocks(BASIS_STATES, grid)
+        assert len(checks) == 1 and formed == []
+        start, evaluate = blocks[0]
+        first = evaluate()
+        assert start == 0 and first.shape == (4, blocks[1][0], 4) == (4, 316 * 12, 4)
+        assert formed == [first.shape[1]]
+        reads = [np.concatenate([evaluate() for _, evaluate in blocks], axis=1) for _ in range(2)]
+        assert len(checks) == 1 and len(formed) == 1 + 2 * len(blocks)
+        assert np.array_equal(reads[0][:, : first.shape[1]], first)
+        assert np.array_equal(reads[0], reads[1])
+        assert np.array_equal(reads[0], np.stack(solution.populations(BASIS_STATES, grid)))
 
 
 class TestScalarReference:

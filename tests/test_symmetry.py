@@ -100,6 +100,16 @@ def gap_bound(mine, theirs, t_max):
     <= ||a - b||, so it moves by at most eps. The evaluation's own rounding
     (a four-term product, its square and a sum of two squares) adds at most
     8u. Two sides: 2 (16.9 max|L| max|t| + 8) u <= (34 max|L| max|t| + 16) u.
+
+    One term is left out: the eigenvector orthogonality defect
+    d = max|T T^T - I|. The propagator at t = 0 is T^T T, not I, so a
+    population there is (1 + e)^2, about 1 + 2e for a diagonal defect e of
+    T^T T: the defect enters at about twice its size, where L t = 0 leaves
+    the phase terms above nothing to cover it. Over 3 000 resonant drives
+    d reached 18u and |P(0) - delta| 38u, against 8u per side here;
+    ``jacobi_eigh`` admits d up to 1e-10 (``_ORTHO_TOL``). Every use below
+    takes max|t| = 50, so the bound at t = 0 is the global one and covers
+    the term with room; the numeric bound stays as it is.
     """
     lam = max(np.abs(mine.eigensystem.eigenvalues).max(), np.abs(theirs.eigensystem.eigenvalues).max())
     return (34.0 * lam * t_max + 16.0) * U
