@@ -155,6 +155,12 @@ class RunConfig:
             raise ConfigurationError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ConfigurationError("steps must be at least 1")
+        # linspace counts the grid through a float, which rounds 2^60 - 64 up
+        # to 2^60, past the largest array of floats: the limit is half that
+        if self.steps > np.iinfo(np.intp).max // 16:
+            raise ConfigurationError(
+                f"steps = {self.steps} is more grid points than a NumPy array can hold"
+            )
         if not math.isfinite(self.t_max):
             raise ConfigurationError(f"t_max must be finite, got {self.t_max}")
         if self.t_max < 0:
@@ -179,7 +185,10 @@ class RunConfig:
             raise ConfigurationError(f"unknown model {data['model']!r}") from exc
         omega = tuple(_numbers(data.get("omega", DEFAULT_OMEGA), "omega", 3))
         kappas = _number_map(data.get("kappas", {}), "kappas")
-        if data.get("resonant") and "fields" in data:
+        resonant = data.get("resonant", False)
+        if not isinstance(resonant, bool):
+            raise ConfigurationError(f"resonant must be true or false, got {resonant!r}")
+        if resonant and "fields" in data:
             raise ConfigurationError("config sets both 'resonant' and 'fields'")
         fields = _number_map(data["fields"], "fields") if "fields" in data else None
         init_raw = data.get("init", 1)
@@ -259,12 +268,7 @@ def run_trace(cfg: RunConfig, allow_nonresonant: bool = False) -> PopulationTrac
     model = get_model(cfg.model)
     drive = build_drive(cfg)
     state = initial_state(cfg.init)
-    try:
-        t_grid = np.linspace(0.0, cfg.t_max, cfg.steps)
-    except ValueError:  # past NumPy's largest array size; num is a valid count
-        raise ConfigurationError(
-            f"steps = {cfg.steps} is more grid points than a NumPy array can hold"
-        ) from None
+    t_grid = np.linspace(0.0, cfg.t_max, cfg.steps)
     if cfg.method == "rk4":
         trace, _ = rk4_solve(model, drive, state, t_grid)
         return trace

@@ -38,16 +38,16 @@ The RK4 route runs in real arithmetic: a complex 4-vector x + i y is the
 real 8-vector [x; y], on which -i H acts as [[Im H, Re H], [-Re H, Im H]].
 Each model holds these blocks of its seven generators once
 (``ModelConfig.generator_blocks``); a call fills in its drive's energies,
-couplings and frequencies, and one GEMM samples -i H exactly at the three
-stage times of every step. The stages and the step maps M_n are real
-batched products. The march x_{n+1} = M_n x_n is linear, so one build of
-the maps serves an (8, k) block of k start states: ``rk4_solve_many``
-marches every state of a (model, drive) at once, ``rk4_solve`` is its
-one-state case, and ``_march`` runs each block of m steps as a
-group-major two-level prefix product in about 2 sqrt(m) Python-level
-calls. The populations are x^2 + y^2; the drift check alone judges the
-norm. A drive whose max|H| leaves the window where the stage products
-stay normal floats is refused before the march (``_RK4_SCALE_WINDOW``).
+couplings and frequencies, scales the energies and couplings by its step
+h, and one GEMM samples B = -i h H at the three stage times of every step.
+The stages and the step maps M_n are real batched products, of order
+h max|H| whatever the scale of H. The march x_{n+1} = M_n x_n is linear,
+so one build of the maps serves an (8, k) block of k start states:
+``rk4_solve_many`` marches every state of a (model, drive) at once,
+``rk4_solve`` is its one-state case, and ``_march`` runs each block of m
+steps as a group-major two-level prefix product in about 2 sqrt(m)
+Python-level calls. The populations are x^2 + y^2; the drift check alone
+judges the norm.
 """
 
 from __future__ import annotations
@@ -83,11 +83,11 @@ __all__ = [
 ]
 
 
-def _stage(a: np.ndarray, k: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
-    """a (I + scale k) = a + scale (a @ k) for each map, written into ``out``."""
-    np.matmul(a, k, out=out)
-    out *= scale
-    out += a
+def _stage(b: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """b (I + k/2) = b + (b @ k)/2 for each map, written into ``out``."""
+    np.matmul(b, k, out=out)
+    out *= 0.5
+    out += b
     return out
 
 
@@ -96,26 +96,29 @@ def _rk4_step_matrices(
 ) -> np.ndarray:
     """Classic RK4 step maps M_n, x_{n+1} = M_n x_n, for steps starting at ``times``.
 
-    Real (n, 8, 8) maps on [Re c; Im c] in row order. For dC/dt = A(t) C,
-    A = -i H(t), the stages are matrices: K1 = A(t), K2 = A(t + h/2)(I + h/2
-    K1), K3 = A(t + h/2)(I + h/2 K2), K4 = A(t + h)(I + h K3), and M = I +
-    h/6 (K1 + 2 K2 + 2 K3 + K4). The samples of A and the stages fill
-    ``work``, a flat buffer of at least 6 * 64 n floats that every block of a
-    march reuses, and the maps are returned in it.
+    Real (n, 8, 8) maps on [Re c; Im c] in row order, from a table scaled
+    by the step h, whose samples are B = h A for dC/dt = A(t) C, A = -i
+    H(t). The stages are matrices: K1 = B(t), K2 = B(t + h/2)(I + K1/2), K3
+    = B(t + h/2)(I + K2/2), K4 = B(t + h)(I + K3), and M = I + (K1 + 2 K2 +
+    2 K3 + K4)/6, so every entry is of order h max|H| whatever the scale of
+    H. The samples and the stages fill ``work``, a flat buffer of at least
+    6 * 64 n floats that every block of a march reuses, and the maps are
+    returned in it.
     """
     n = times.size
     work = work[: 6 * 64 * n].reshape(6, n, 8, 8)
     stage_times = np.add.outer((0.0, 0.5 * h, h), times)
-    k1, a_mid, a_end = table.sample(stage_times, out=work[:3])
-    k2 = _stage(a_mid, k1, 0.5 * h, work[3])
-    k3 = _stage(a_mid, k2, 0.5 * h, work[4])
-    k4 = _stage(a_end, k3, h, work[5])
-    # M = I + h/6 (K1 + 2 (K2 + K3) + K4), accumulated in place in K2
+    k1, b_mid, b_end = table.sample(stage_times, out=work[:3])
+    k2 = _stage(b_mid, k1, work[3])
+    k3 = _stage(b_mid, k2, work[4])
+    k4 = np.matmul(b_end, k3, out=work[5])
+    k4 += b_end
+    # M = I + (K1 + 2 (K2 + K3) + K4)/6, accumulated in place in K2
     k2 += k3
     k2 *= 2.0
     k2 += k1
     k2 += k4
-    k2 *= h / 6.0
+    k2 /= 6.0
     k2.reshape(-1, 64)[:, ::9] += 1.0  # the diagonal of each 8x8 map
     return k2
 
@@ -153,13 +156,6 @@ _UNIT_ROUNDOFF = 2.0**-53
 _RK4_BLOCK = 4096
 # Largest final norm drift a march may show; beyond it the step is too coarse.
 _RK4_NORM_TOL = 1e-6
-# The window of max|H|, the largest |entry| of H(t), in which the stage
-# products a @ k of ``_stage``, of order max|H|^2, stay normal floats at any
-# step: max|H|^2 is normal at the bottom, and leaves a factor of 2^6 below
-# the overflow threshold at the top for the eight-term sums and the growth
-# of the stages within a step. Powers of two, so the window is exact under
-# t -> 2^k t. An all-zero H takes no product and stays allowed.
-_RK4_SCALE_WINDOW = (2.0**-511, 2.0**509)
 
 
 def rk4_solve_many(
@@ -175,12 +171,9 @@ def rk4_solve_many(
     grid that ``check_times`` refuses, not strictly increasing, not uniform
     (a spacing off the first, h, by more than 1e-9 |h| + 8u max|t|; the
     second term allows for the rounding of the grid times themselves) or
-    whose spacing overflows, is a ConfigurationError. NumericsError before
-    the march when max|H|, the largest |entry| of H(t) (its level energies
-    and couplings), is nonzero and lies outside ``_RK4_SCALE_WINDOW``, and
-    after it when a state leaves the finite range or its final norm drifts
-    from 1 by more than 1e-6 (the step was far too coarse for the couplings
-    involved).
+    whose spacing overflows, is a ConfigurationError. NumericsError when a
+    state leaves the finite range or its final norm drifts from 1 by more
+    than 1e-6 (the step was far too coarse for the couplings involved).
     """
     k = len(states)
     if k == 0:
@@ -208,14 +201,9 @@ def rk4_solve_many(
             # is exact under t -> 2^k t
             if max(hi - h, h - lo) > 1e-9 * abs(h) + 8.0 * _UNIT_ROUNDOFF * t_abs:
                 raise ConfigurationError("time grid must be uniform for fixed-step RK4")
-            scale = max(float(np.abs(table.blocks[0]).max()), float(table.kappa.max()))
-            bottom, top = _RK4_SCALE_WINDOW
-            if scale and not bottom <= scale <= top:
-                raise NumericsError(
-                    f"RK4 cannot march max|H| = {scale:.3e}: its stage products, of order"
-                    f" max|H|^2, stay normal floats only for max|H| in [{bottom:.3e}, {top:.3e}];"
-                    " rescale the energies and couplings, and the times inversely"
-                )
+            # the samples become B = h A; the table is this call's own copy
+            table.blocks[0] *= h
+            table.kappa[:] *= h
 
         marched = np.empty((n_steps + 1, 8, k))
         c_rows = np.array([to_row_order(c0.amplitudes) for c0 in states]).T
@@ -511,7 +499,9 @@ class FrameSolution:
         out = np.empty((len(mixes), 4, grid[0].size), dtype=complex)
         for start, planes in _plane_blocks(grid, self.eigensystem.eigenvalues):
             parts = _parts(mixes, planes())
-            out[..., start : start + parts.shape[-1]] = parts[:, :4] + 1j * parts[:, 4:]
+            stop = start + parts.shape[-1]
+            out.real[..., start:stop] = parts[:, :4]
+            out.imag[..., start:stop] = parts[:, 4:]
         return list(out.transpose(0, 2, 1))
 
     def max_population_gap(self, other: FrameSolution, levels: Sequence[int], t_grid) -> float:

@@ -303,7 +303,7 @@ def hamiltonian_table(model: ModelConfig, drive: DriveParams) -> HamiltonianTabl
     np.negative(energy[4:32:9], out=energy[32::9])
     return HamiltonianTable(
         blocks=blocks,
-        kappa=np.array([drive.coupling[tr] for tr in transitions]),
+        kappa=np.array([drive.coupling[tr] for tr in transitions], dtype=float),
         freq=np.array([drive.field_freq[tr] for tr in transitions]),
     )
 

@@ -204,10 +204,17 @@ class TestRunConfig:
         {"model": "I", "init": [[1], [0], [0], [0]]},
         {"model": "I", "omega": 5},
         {"model": "I", "t_max": None},
+        {"model": "I", "resonant": "no", "fields": {"41": 4.0, "32": 2.0, "21": 1.0}},
+        {"model": "I", "resonant": 0},
+        {"model": "I", "resonant": None},
+        {"model": "I", "resonant": 1},
+        {"model": "I", "resonant": "true"},
     ])
     def test_rejects_malformed_values(self, data):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError) as info:
             RunConfig.from_json_dict(data)
+        if "resonant" in data:  # read as JSON true or false, never by its truthiness
+            assert str(info.value).startswith("resonant must be true or false")
 
     @pytest.mark.parametrize("data, value", [
         ({"model": "I", "omega": "123"}, "'123'"),
@@ -393,30 +400,13 @@ class TestSimulate:
         ]) == 3
         assert "step size h = 25" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scale", ["1e154", "1e-160", "3.1622776601683794e-160"])
-    def test_rk4_scale_outside_its_window_exits_3(self, tmp_path, capsys, scale):
-        # a @ k in the RK4 stages is of order max|H|^2, whatever the step: at
-        # 1e154 it overflows, and at 1e-160 it underflows until the norm
-        # drifts (10^-159.5 marched on, 4.9e-7 off the spectral route). The
-        # drive is refused before the march, naming the scale, not the step
-        out = tmp_path / "scaled.csv"
-        t_max = repr(5.0 / float(scale))
-        argv = ["simulate", "--model", "III", "--method", "rk4", "--omega", scale, scale, scale,
-                "--kappa", f"21={scale}", f"32={scale}", f"43={scale}",
-                "--t-max", t_max, "--steps", "200", "--out", str(out)]
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert f"max|H| = {float(scale):.3e}" in err
-        assert "[1.492e-154, 1.676e+153]" in err
-        assert "step" not in err
-        assert not out.exists()
-        # the spectral route has no such window
-        assert main(argv[:3] + argv[5:]) == 0
-
-    @pytest.mark.parametrize("scale", [2.0**-511, 1e-153, 1e150, 2.0**509])
-    def test_rk4_scale_inside_its_window_matches_spectral(self, tmp_path, scale):
-        # at either edge of the window, RK4 stays as close to the spectral
-        # route as at scale 1 (1.32e-7 on this grid of h max|H| = 0.025)
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 10**-159.5, 2.0**-511, 1e-153, 1e150,
+                                       2.0**509, 1e154, 1e300])
+    def test_rk4_matches_spectral_at_every_scale(self, tmp_path, scale):
+        # the RK4 stages are built from step-scaled samples B = h A, of order
+        # h max|H| = 0.025 on this grid, so RK4 stays as close to the spectral
+        # route at every scale as at scale 1 (1.32e-7); past 1e153 and below
+        # 1e-154, a product of order max|H|^2 would leave the normal floats
         rows = {}
         for method in ("rk4", "spectral"):
             out = tmp_path / f"{method}.csv"
@@ -531,21 +521,25 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, document", [
-        (["--model", "I", "--steps", str(10**20)], None),
-        (["--config"], {"model": "I", "steps": 10**20}),
-        (["--config"], {"model": "I", "steps": 10**400}),
+    @pytest.mark.parametrize("steps, spelling", [
+        (10**20, "flag"), (10**20, "config"), (10**400, "config"),
+        (2**63 - 1, "flag"), (2**63 - 1, "config"), (2**63, "flag"), (2**63, "config"),
+        (2**60 - 1, "flag"),
     ])
-    def test_steps_past_array_size_exits_2(self, tmp_path, capsys, argv, document):
-        # past NumPy's largest array size, not merely past memory: np.linspace
-        # refuses such a count with a ValueError before it allocates anything
-        if document is not None:
+    def test_steps_past_array_size_exits_2(self, tmp_path, capsys, steps, spelling):
+        # past NumPy's largest array size, not merely past memory: RunConfig
+        # refuses the count before np.linspace sees it (near 2^63 linspace
+        # raised an IndexError, and from 2^60 - 64 its float count overflows
+        # an array of floats)
+        if spelling == "flag":
+            argv = ["--model", "I", "--steps", str(steps)]
+        else:
             cfg_path = tmp_path / "huge.json"
-            cfg_path.write_text(json.dumps(document))
-            argv = argv + [str(cfg_path)]
+            cfg_path.write_text(json.dumps({"model": "I", "steps": steps}))
+            argv = ["--config", str(cfg_path)]
         out = tmp_path / "huge.csv"
         assert main(["simulate", *argv, "--out", str(out)]) == 2
-        assert "error: steps = 1000" in capsys.readouterr().err
+        assert f"error: steps = {steps} is more grid points" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -557,8 +551,6 @@ class TestChecksBeforeOpen:
         (["--t-max", "5e-324", "--steps", "3"], 2),  # the grid: times not increasing
         (["--t-max", "1e150", "--steps", "3"], 3),  # the phase budget
         (["--method", "rk4", "--steps", "3"], 3),  # the RK4 drift
-        (["--method", "rk4", "--omega", "1e154", "1e154", "1e154", "--t-max", "5e-154",
-          "--steps", "200"], 3),  # the RK4 scale window
     ])
     def test_refused_run_leaves_the_file_as_it_was(self, tmp_path, capsys, flags, code):
         out = tmp_path / "kept.csv"

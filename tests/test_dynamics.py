@@ -285,6 +285,16 @@ class TestRk4Solve:
         )
         assert np.abs(trace.populations[-1] - np.abs(final) ** 2).max() < 1e-15
 
+    def test_integer_couplings_march_as_floats(self):
+        # the call scales its table by the step in place, so integer couplings
+        # must already be floats there; they give the float couplings' bits
+        whole = resonant_drive(MODEL_I, OMEGA, {tr: 1 for tr in CHAIN_COUPLINGS})
+        floats = resonant_drive(MODEL_I, OMEGA, {tr: 1.0 for tr in CHAIN_COUPLINGS})
+        grid = uniform_grid(3.0, 301)
+        runs = [rk4_solve(MODEL_I, drive, StateVector.basis(1), grid)[0].populations
+                for drive in (whole, floats)]
+        assert np.array_equal(*runs)
+
 
 OVERFLOW = r"^time grid spacing overflows to inf \(max\|t\| = 1\.500e\+308\); a step between two grid times must be a finite float$"
 NOT_INCREASING = r"^time grid must be strictly increasing$"
@@ -583,17 +593,19 @@ class TestGeneratorTable:
 
     @pytest.mark.parametrize("model_id", ["I", "II", "III", "IV", "V", "VI"])
     def test_step_maps_match_complex_build(self, model_id):
-        # the real and the complex build differ only in rounding: measured
-        # at most 1.7e-18 on these maps, whose diagonal is close to 1; the
-        # bound stays below one ulp of that diagonal (2.2e-16); the work
-        # buffer, larger than needed, starts as NaN, so no stale entry may
-        # reach the maps
+        # the real build from the step-scaled table and the complex build
+        # differ only in rounding: measured 2.6e-18 to 6.9e-18 on these maps,
+        # whose diagonal is close to 1; the bound stays below one ulp of that
+        # diagonal (2.2e-16); the work buffer, larger than needed, starts as
+        # NaN, so no stale entry may reach the maps
         model = get_model(model_id)
         drive = off_resonant_drive(model)
         h = 1e-2
         times = 0.3 + np.arange(200) * h
-        maps = _rk4_step_matrices(hamiltonian_table(model, drive), times, h,
-                                  np.full(6 * 64 * 256, np.nan))
+        table = hamiltonian_table(model, drive)
+        table.blocks[0] *= h
+        table.kappa[:] *= h
+        maps = _rk4_step_matrices(table, times, h, np.full(6 * 64 * 256, np.nan))
         reference = real_blocks(complex_step_maps(model, drive, times, h))
         assert np.abs(maps - reference).max() < 1e-16
 
@@ -827,7 +839,7 @@ class TestPowerOfTwoRescaling:
         c0=st.one_of(st.sampled_from(BASIS_STATES), unit_states),
         t_max=st.floats(1e-3, 50.0),
         points=st.integers(2, 201),
-        k=st.integers(-40, 40),
+        k=st.integers(-1000, 1000),
     )
     @settings(max_examples=200, deadline=None)
     def test_both_routes_are_exact_under_rescaling(
